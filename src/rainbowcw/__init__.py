@@ -49,7 +49,7 @@ from .eagon_northcott import (
     verify_differential_formula,
     verify_multidegree_bijection,
 )
-from .gfp import DEFAULT_PRIME, PrimeField
+from .gfp import DEFAULT_PRIME
 from .ideals import MonomialIdeal, alexander_dual, codimension, colon, complementary_ideal
 from .monomials import Monomial, format_monomial, parse_monomial
 from .polarization import (

@@ -31,7 +31,7 @@ from .determinantal import (
 )
 from .eagon_northcott import sparse_eagon_northcott
 from .errors import ParseError, RainbowError, SizeCap
-from .gfp import DEFAULT_PRIME
+from .gfp import DEFAULT_PRIME, MAX_PRIME, is_prime
 from .ideals import MonomialIdeal
 from .monomials import format_monomial, parse_monomial
 from .polarization import certify_polarization, find_free_sequence, free_vertices
@@ -118,10 +118,19 @@ def _check_size(n: int, m: int, force: bool) -> None:
 
 
 def _prime(args) -> int:
+    """The prime from RAINBOW_PRIME, else --prime; rejected unless it is a
+    prime below MAX_PRIME."""
     env = os.environ.get("RAINBOW_PRIME")
     if env:
-        return int(env)
-    return args.prime
+        try:
+            p = int(env)
+        except ValueError as exc:
+            raise ParseError(f"RAINBOW_PRIME is not an integer: {env!r}") from exc
+    else:
+        p = args.prime
+    if not (p < MAX_PRIME and is_prime(p)):
+        raise RainbowError(f"the modulus must be a prime below 2^31, got {p}")
+    return p
 
 
 def _load_order(args, n: int, m: int) -> TermOrder:
@@ -145,6 +154,14 @@ def _load_pure_complex(path: str) -> PureComplex:
             raise ParseError(f"bad complex file: {exc}") from exc
 
 
+def _parse_facet(spec: str) -> tuple[int, ...]:
+    """A facet given as 'c1,c2,...' on the command line."""
+    try:
+        return tuple(sorted(int(x) for x in spec.split(",")))
+    except ValueError as exc:
+        raise ParseError(f"bad facet {spec!r}: expected comma-separated column numbers") from exc
+
+
 def _delta_from_args(args) -> PureComplex:
     if getattr(args, "delta_file", None):
         delta = _load_pure_complex(args.delta_file)
@@ -153,7 +170,7 @@ def _delta_from_args(args) -> PureComplex:
     else:
         raise RainbowError("one of --delta-file / --dual-file is required")
     if getattr(args, "delete", None):
-        drop = {tuple(sorted(int(x) for x in spec.split(","))) for spec in args.delete}
+        drop = {_parse_facet(spec) for spec in args.delete}
         delta = PureComplex(delta.n, delta.m, delta.facets - drop)
     return delta
 
@@ -236,6 +253,7 @@ def cmd_betti(args) -> int:
 
 
 def cmd_free_seq(args) -> int:
+    p = _prime(args)
     dual = _load_pure_complex(args.dual_file)
     _check_size(dual.n, dual.m, args.force)
     order = _load_order(args, dual.n, dual.m)
@@ -245,7 +263,7 @@ def cmd_free_seq(args) -> int:
     targets = [format_monomial(initial_minor(order, f)) for f in dual.sorted_facets()]
     report = find_free_sequence(cx, targets)
     manifest = RunManifest(
-        "free-seq", dual.n, dual.m, order.to_json(), _prime(args),
+        "free-seq", dual.n, dual.m, order.to_json(), p,
         [list(f) for f in dual.sorted_facets()],
     )
     _emit_json(report.to_json(), manifest, args.output)
@@ -253,12 +271,13 @@ def cmd_free_seq(args) -> int:
 
 
 def cmd_polarize(args) -> int:
+    p = _prime(args)
     delta = _delta_from_args(args)
     _check_size(delta.n, delta.m, args.force)
     order = _load_order(args, delta.n, delta.m)
     report = certify_polarization(delta, order, max_degree=args.max_degree)
     manifest = RunManifest(
-        "polarize", delta.n, delta.m, order.to_json(), _prime(args),
+        "polarize", delta.n, delta.m, order.to_json(), p,
         [list(f) for f in delta.sorted_facets()],
     )
     if args.summary_csv:
@@ -324,7 +343,7 @@ def cmd_experiment(args) -> int:
         # For the given facets, how often does a random order make them all
         # free vertices of the supporting complex?
         header = ["sample", "n", "m", "targets", "all_free"]
-        targets = [tuple(sorted(int(x) for x in spec.split(","))) for spec in args.targets]
+        targets = [_parse_facet(spec) for spec in args.targets]
         if not targets:
             raise RainbowError("--targets is required for free-vertex-orders")
         for k in range(args.samples):

@@ -401,44 +401,91 @@ def koszul_strand_homology(
     ideal: MonomialIdeal, alpha: Monomial, p: int = DEFAULT_PRIME
 ) -> list[int]:
     """Homology ranks of the multidegree-alpha strand of the Koszul complex on
-    all variables tensored with R/I.  Basis in homological degree i: squarefree
-    variable subsets S of size i with x^alpha / x^S not in I."""
-    supp = sorted(alpha.support)
-    s = len(supp)
-    var_bit = {v: 1 << k for k, v in enumerate(supp)}
+    all variables tensored with R/I, in homological degrees 0..|supp(alpha)|.
 
-    divisors = [g for g in ideal.gens if g.divides(alpha)]
-    if alpha.is_squarefree() and all(g.is_squarefree() for g in divisors):
-        # x^alpha / x^S is standard iff S meets the support of every divisor.
-        gen_masks = np.array(
-            [sum(var_bit[v] for v in g.support) for g in divisors], dtype=np.int64
-        )
-        masks = np.arange(1 << s, dtype=np.int64)
-        standard = np.ones(1 << s, dtype=bool)
-        for gm in gen_masks:
-            standard &= (masks & gm) != 0
-        standard_masks = set(masks[standard].tolist())
-    else:
-        quotient_cache: dict[int, bool] = {}
+    The strand U has a basis of the squarefree subsets S of supp(alpha) that
+    are standard, meaning x^alpha / x^S is not in I, with S in degree |S|.
+    Standard subsets form an up-set: for T containing S, x^alpha / x^T
+    divides x^alpha / x^S, so it is not in I either.  So U is the relative
+    chain complex of the full simplex on supp(alpha) modulo the upper Koszul
+    simplicial complex K^alpha of nonstandard subsets, and H_i(U) is the
+    reduced homology of K^alpha in dimension i - 2 (Miller and Sturmfels,
+    Combinatorial Commutative Algebra, Thm. 1.34).
 
-        def is_standard(mask: int) -> bool:
-            hit = quotient_cache.get(mask)
-            if hit is None:
-                rest = alpha / Monomial({supp[k]: 1 for k in range(s) if mask >> k & 1})
-                hit = rest not in ideal
-                quotient_cache[mask] = hit
-            return hit
+    For a variable v, the cells C_v = {standard S containing v with S - {v}
+    nonstandard} span a subcomplex of U: removing another variable keeps v,
+    and keeps S - {v} nonstandard.  The remaining cells pair off as
+    S <-> S + {v} through a differential entry of +-1, so U / C_v is the cone
+    of an identity map and is acyclic.  Hence H_i(U) = H_i(C_v) for every i
+    and every p, and the ranks are taken on C_v for the v that leaves the
+    fewest cells.
+    """
+    s = len(alpha.support)
+    standard = _standard_subsets(ideal, alpha)
+    if s == 0:
+        return [int(standard[0])]
+    pivot = min(range(s), key=lambda k: np.count_nonzero(_cone_indicator(standard, k)))
+    return _cells_homology(_cone_cells(standard, pivot), s, p)
 
-        standard_masks = {m for m in range(1 << s) if is_standard(m)}
 
+def _standard_subsets(ideal: MonomialIdeal, alpha: Monomial) -> np.ndarray:
+    """Boolean indicator of the standard subsets of supp(alpha), indexed by
+    bit mask over the sorted support.
+
+    A generator g dividing x^alpha divides x^alpha / x^S exactly when S
+    avoids the tight variables, where g reaches the exponent of alpha; so S
+    is standard iff it meets the tight set of every such g.
+    """
+    exps = dict(alpha.exps)
+    bit = {v: 1 << k for k, v in enumerate(sorted(exps))}
+    tight_sets = set()
+    for g in ideal.gens:
+        # One pass decides whether g divides x^alpha and collects its tight set.
+        tight = 0
+        for v, e in g.exps:
+            a = exps.get(v, 0)
+            if e > a:
+                break
+            if e == a:
+                tight |= bit[v]
+        else:
+            tight_sets.add(tight)
+    masks = np.arange(1 << len(bit), dtype=np.int64)
+    standard = np.ones(masks.size, dtype=bool)
+    for tight in tight_sets:
+        standard &= (masks & tight) != 0
+    return standard
+
+
+def _cone_indicator(standard: np.ndarray, k: int) -> np.ndarray:
+    """C_v for v = bit k over the masks containing v: entry (j, l) stands for
+    S = j * 2^(k+1) + 2^k + l and is set when S is standard and S - {v} is
+    not."""
+    halves = standard.reshape(-1, 2, 1 << k)
+    return halves[:, 1, :] > halves[:, 0, :]
+
+
+def _cone_cells(standard: np.ndarray, k: int) -> list[int]:
+    """Masks of C_v for v = bit k."""
+    idx = np.flatnonzero(_cone_indicator(standard, k))
+    low = (1 << k) - 1
+    return ((idx & ~low) << 1 | 1 << k | idx & low).tolist()
+
+
+def _cells_homology(cells: list[int], s: int, p: int) -> list[int]:
+    """Homology ranks, in degrees 0..s, of the Koszul subcomplex spanned by
+    the given subset masks of an s-element support (closed under the
+    differential), with the signs of the full Koszul complex."""
+    if not cells:
+        return [0] * (s + 1)
     by_size: list[dict[int, int]] = [dict() for _ in range(s + 1)]
-    for mask in standard_masks:
-        size = bin(mask).count("1")
-        by_size[size][mask] = len(by_size[size])
-    dims = [len(d) for d in by_size]
+    for mask in cells:
+        layer = by_size[bin(mask).count("1")]
+        layer[mask] = len(layer)
+    dims = [len(layer) for layer in by_size]
     diffs: list[dict[tuple[int, int], int]] = [dict() for _ in range(s + 1)]
     for size in range(1, s + 1):
-        entries: dict[tuple[int, int], int] = {}
+        entries = diffs[size]
         lower = by_size[size - 1]
         for mask, col in by_size[size].items():
             sign = 1
@@ -448,7 +495,6 @@ def koszul_strand_homology(
                     if row is not None:
                         entries[(row, col)] = sign
                     sign = -sign
-        diffs[size] = entries
     return VectorComplex(dims, diffs).homology_ranks(p)
 
 

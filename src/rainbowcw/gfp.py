@@ -13,36 +13,20 @@ surface characteristic dependence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 
 import numpy as np
 
 DEFAULT_PRIME = 32003
+# Moduli stay below 2^31 so that the int64 products in dense_rank_mod_p,
+# at most (p - 1)^2, stay below 2^63.
+MAX_PRIME = 1 << 31
 _DENSE_LIMIT = 160_000  # nrows * ncols above which the sparse path is used
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """Arithmetic mod a fixed prime; values are ints in [0, p)."""
-
-    p: int = DEFAULT_PRIME
-
-    def normalize(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, self.p - 2, self.p)
+def is_prime(p: int) -> bool:
+    """Trial division; meant for moduli below MAX_PRIME."""
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 def dense_rank_mod_p(matrix: np.ndarray, p: int) -> int:
@@ -70,11 +54,10 @@ def dense_rank_mod_p(matrix: np.ndarray, p: int) -> int:
 
 def sparse_rank_mod_p(rows: list[dict[int, int]], p: int) -> int:
     """Rank of the matrix whose rows are {column: value} dicts."""
-    field = PrimeField(p)
     alive: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
-        rd = {c: field.normalize(v) for c, v in row.items() if field.normalize(v)}
+        rd = {c: v % p for c, v in row.items() if v % p}
         if rd:
             alive[i] = rd
             for c in rd:
@@ -102,7 +85,7 @@ def sparse_rank_mod_p(rows: list[dict[int, int]], p: int) -> int:
         prow = alive.pop(pi)
         for c in prow:
             col_rows[c].discard(pi)
-        inv = field.inv(prow[pc])
+        inv = pow(prow[pc], p - 2, p)
         prow = {c: (v * inv) % p for c, v in prow.items()}
         rank += 1
         for i in list(col_rows.get(pc, ())):
@@ -164,23 +147,6 @@ class VectorComplex:
         if i <= 0 or i > self.top:
             return 0
         return matrix_rank(self.diffs[i], self.dims[i - 1], self.dims[i], p)
-
-    def is_complex(self, p: int) -> bool:
-        """Check d_{i} o d_{i+1} = 0 over GF(p)."""
-        for i in range(1, self.top):
-            comp: dict[tuple[int, int], int] = {}
-            later = self.diffs[i + 1]
-            cur = self.diffs[i]
-            by_source: dict[int, list[tuple[int, int]]] = {}
-            for (t, s), v in cur.items():
-                by_source.setdefault(s, []).append((t, v))
-            for (mid, src), v1 in later.items():
-                for tgt, v2 in by_source.get(mid, ()):
-                    key = (tgt, src)
-                    comp[key] = (comp.get(key, 0) + v1 * v2) % p
-            if any(v % p for v in comp.values()):
-                return False
-        return True
 
     def homology_ranks(self, p: int) -> list[int]:
         """dim H_i for i = 0..top."""

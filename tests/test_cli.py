@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rainbowcw.cli import main
 
 
@@ -188,3 +190,64 @@ def test_polarize_summary_csv(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[1] == "n,m,r,linear,free_seq,polarization,power_of_max"
     assert lines[2] == "3,5,2,1,1,1,0"
+
+
+def _worked_dual(tmp_path):
+    dual = tmp_path / "dual.json"
+    dual.write_text(json.dumps({"n": 3, "m": 5, "facets": [[1, 2, 3], [3, 4, 5]]}))
+    return str(dual)
+
+
+def _assert_one_error_line(capsys, kind):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {kind}:")
+
+
+# Each of these once printed a plausible wrong answer with exit 0: a
+# composite modulus, or one whose squares overflow the int64 dense ranks.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["strand", "--dual-file", "DUAL", "--prime", "4"],
+        ["strand", "--dual-file", "DUAL", "--prime", "4294967311"],
+        ["sparse-en", "-n", "2", "-m", "4", "--certify-cw", "--prime", "6"],
+        ["polarize", "--dual-file", "DUAL", "--prime", "1"],
+    ],
+)
+def test_bad_prime_rejected(tmp_path, capsys, argv):
+    argv = [_worked_dual(tmp_path) if a == "DUAL" else a for a in argv]
+    assert run(argv) == 2
+    _assert_one_error_line(capsys, "RainbowError")
+
+
+def test_bad_prime_env_rejected(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("RAINBOW_PRIME", "9")
+    assert run(["strand", "--dual-file", _worked_dual(tmp_path)]) == 2
+    _assert_one_error_line(capsys, "RainbowError")
+    monkeypatch.setenv("RAINBOW_PRIME", "two")
+    assert run(["strand", "--dual-file", _worked_dual(tmp_path)]) == 2
+    _assert_one_error_line(capsys, "ParseError")
+
+
+def test_largest_prime_accepted(tmp_path):
+    out = tmp_path / "en.json"
+    argv = ["sparse-en", "-n", "2", "-m", "4", "--certify-cw", "--prime", str(2**31 - 1)]
+    assert run(argv + ["-o", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["cw_certificate"]["verdict"] is True and data["is_resolution"] is True
+
+
+@pytest.mark.parametrize("command", ["strand", "polarize"])
+def test_malformed_delete_is_a_parse_error(tmp_path, capsys, command):
+    argv = [command, "--dual-file", _worked_dual(tmp_path), "--delete", "a,b"]
+    assert run(argv) == 2
+    _assert_one_error_line(capsys, "ParseError")
+
+
+def test_malformed_targets_is_a_parse_error(capsys):
+    argv = ["experiment", "-n", "2", "-m", "4", "--mode", "free-vertex-orders",
+            "--targets", "1,x"]
+    assert run(argv) == 2
+    _assert_one_error_line(capsys, "ParseError")
