@@ -8,14 +8,12 @@ __version__ = "0.1.0"
 from .complexes import (
     BasedComplex,
     BettiTable,
-    hilbert_function,
     is_linear_strand_of_module,
     koszul_betti,
     koszul_complex,
     linear_strand,
     regularity,
     taylor_complex,
-    verify_regular_sequence,
 )
 from .cwposet import (
     CWCertificate,
@@ -59,9 +57,12 @@ from .polarization import (
     certify_polarization,
     find_free_sequence,
     free_vertices,
+    hilbert_function,
+    hilbert_profile,
     linearity_criterion,
     specialize,
     variable_differences_regular,
+    verify_regular_sequence,
 )
 from .strands import (
     chain_sign,

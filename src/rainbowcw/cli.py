@@ -170,7 +170,16 @@ def _delta_from_args(args) -> PureComplex:
     else:
         raise RainbowError("one of --delta-file / --dual-file is required")
     if getattr(args, "delete", None):
-        drop = {_parse_facet(spec) for spec in args.delete}
+        drop = set()
+        for spec in args.delete:
+            facet = _parse_facet(spec)
+            if len(set(facet)) != delta.n or not all(1 <= c <= delta.m for c in facet):
+                raise ParseError(
+                    f"bad facet {spec!r}: expected {delta.n} distinct columns in 1..{delta.m}"
+                )
+            if facet not in delta.facets:
+                raise RainbowError(f"--delete {spec!r}: {list(facet)} is not a facet of Delta")
+            drop.add(facet)
         delta = PureComplex(delta.n, delta.m, delta.facets - drop)
     return delta
 
@@ -236,9 +245,12 @@ def cmd_strand(args) -> int:
 def cmd_betti(args) -> int:
     with open(args.ideal_file) as handle:
         try:
-            gens = [parse_monomial(s) for s in json.load(handle)]
+            entries = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad ideal file: {exc}") from exc
+    if not isinstance(entries, list) or not all(isinstance(e, str) for e in entries):
+        raise ParseError("bad ideal file: expected a JSON array of monomial strings")
+    gens = [parse_monomial(e) for e in entries]
     ideal = MonomialIdeal(gens)
     p = _prime(args)
     table = koszul_betti(ideal, p=p)
@@ -271,6 +283,8 @@ def cmd_free_seq(args) -> int:
 
 
 def cmd_polarize(args) -> int:
+    if args.max_degree is not None and args.max_degree < 1:
+        raise RainbowError(f"--max-degree must be at least 1, got {args.max_degree}")
     p = _prime(args)
     delta = _delta_from_args(args)
     _check_size(delta.n, delta.m, args.force)
@@ -419,7 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-file")
     p.add_argument("--dual-file")
     p.add_argument("--delete", action="append", default=[])
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--max-degree", type=int, default=None,
+                   help="check the Hilbert functions up to this degree, at least 1 "
+                   "(default: m - n + 2)")
     p.add_argument("--summary-csv", help="also write the one-row CSV summary")
     p.set_defaults(func=cmd_polarize)
 
@@ -447,8 +463,8 @@ def main(argv: list[str] | None = None) -> int:
     except RainbowError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -16,16 +16,15 @@ strands, indexed by the lcm closure of the multidegrees involved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyTable, GradingViolation, NotHomogeneous, NotMinimal, ParseError
+from .errors import EmptyTable, GradingViolation, NotMinimal
 from .gfp import DEFAULT_PRIME, VectorComplex
 from .ideals import MonomialIdeal
-from .monomials import Monomial, format_monomial, lcm_of, parse_monomial
+from .monomials import Monomial, format_monomial, lcm_of
 
 
 class BasedComplex:
@@ -236,25 +235,6 @@ class BasedComplex:
                 for tgt, sign in ents
             ],
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "BasedComplex":
-        try:
-            basis = [
-                [(cell["label"], parse_monomial(cell["mdeg"])) for cell in layer]
-                for layer in data["degrees"]
-            ]
-            diff = {(e["from"], e["to"]): int(e["sign"]) for e in data["diff"]}
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad complex JSON: {exc}") from exc
-        cx = BasedComplex(basis, diff)
-        for e in data["diff"]:
-            claimed = parse_monomial(e["coeff"])
-            if cx.coefficient(e["from"], e["to"]) != claimed:
-                raise GradingViolation(
-                    f"entry {e['from']} -> {e['to']}: coeff {e['coeff']} inconsistent with multidegrees"
-                )
-        return cx
 
 
 # -- standard builders ---------------------------------------------------------
@@ -558,136 +538,4 @@ def is_linear_strand_of_module(cx: BasedComplex, p: int = DEFAULT_PRIME) -> bool
         for h in range(2, len(hom)):
             if hom[h] and alpha.degree - n - (h - 1) in (0, 1):
                 return False
-    return True
-
-
-# -- Hilbert functions of quotients ----------------------------------------------------
-
-Generator = Union[Monomial, tuple[Monomial, Monomial]]
-
-
-@lru_cache(maxsize=None)
-def _exponent_vectors(n_vars: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    if n_vars == 0:
-        return ((),) if degree == 0 else ()
-    out = []
-    for bars in combinations(range(degree + n_vars - 1), n_vars - 1):
-        prev = -1
-        exps = []
-        for b in bars:
-            exps.append(b - prev - 1)
-            prev = b
-        exps.append(degree + n_vars - 1 - prev - 1)
-        out.append(tuple(exps))
-    return tuple(out)
-
-
-class _UnionFind:
-    __slots__ = ("parent", "killed")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.killed = [False] * n
-
-    def find(self, a: int) -> int:
-        parent = self.parent
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-            self.killed[rb] = self.killed[rb] or self.killed[ra]
-
-    def kill(self, a: int) -> None:
-        self.killed[self.find(a)] = True
-
-
-def _as_exp_tuple(m: Monomial, var_index: dict) -> tuple[int, ...] | None:
-    exps = [0] * len(var_index)
-    for v, e in m.exps:
-        k = var_index.get(v)
-        if k is None:
-            return None
-        exps[k] = e
-    return tuple(exps)
-
-
-def hilbert_function(
-    gens: Sequence[Generator], max_degree: int, variables: Sequence
-) -> list[int]:
-    """Hilbert function of the quotient by monomials and equal-degree binomial
-    differences, for degrees 0..max_degree.
-
-    In each degree the span of { u*f : f generator, u monomial } is
-    row-reduced against the monomial basis.  Every row has at most two
-    nonzero entries (+-1 coefficients), so the reduction is carried out
-    exactly as a union-find over the monomial basis: a monomial row kills its
-    class, a difference row merges two classes, and the surviving dimension
-    is the number of unkilled classes.
-    """
-    var_index = {v: k for k, v in enumerate(variables)}
-    nv = len(variables)
-    mono_gens: list[tuple[int, tuple[int, ...]]] = []
-    diff_gens: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
-    for g in gens:
-        if isinstance(g, Monomial):
-            t = _as_exp_tuple(g, var_index)
-            if t is None:
-                raise ValueError(f"generator {g} uses a variable outside the ring")
-            mono_gens.append((g.degree, t))
-        else:
-            a, b = g
-            if a.degree != b.degree:
-                raise NotHomogeneous(f"binomial {a} - {b} is not homogeneous")
-            ta, tb = _as_exp_tuple(a, var_index), _as_exp_tuple(b, var_index)
-            if ta is None or tb is None:
-                raise ValueError(f"generator {a} - {b} uses a variable outside the ring")
-            diff_gens.append((a.degree, ta, tb))
-
-    hf: list[int] = []
-    for d in range(max_degree + 1):
-        basis = _exponent_vectors(nv, d)
-        index = {t: k for k, t in enumerate(basis)}
-        uf = _UnionFind(len(basis))
-        for dg, t in mono_gens:
-            if dg > d:
-                continue
-            for u in _exponent_vectors(nv, d - dg):
-                uf.kill(index[tuple(a + b for a, b in zip(u, t))])
-        for dg, ta, tb in diff_gens:
-            if dg > d:
-                continue
-            for u in _exponent_vectors(nv, d - dg):
-                ka = index[tuple(a + b for a, b in zip(u, ta))]
-                kb = index[tuple(a + b for a, b in zip(u, tb))]
-                uf.union(ka, kb)
-        roots = {uf.find(k) for k in range(len(basis))}
-        hf.append(sum(1 for r in roots if not uf.killed[r]))
-    return hf
-
-
-def verify_regular_sequence(
-    gens: Sequence[Generator],
-    sigma: Sequence[Generator],
-    max_degree: int,
-    variables: Sequence,
-) -> bool:
-    """Check that each prefix of ``sigma`` drops the Hilbert function by a
-    (1 - t) convolution, up to ``max_degree``."""
-    prev = hilbert_function(list(gens), max_degree, variables)
-    acc = list(gens)
-    for step in sigma:
-        acc.append(step)
-        cur = hilbert_function(acc, max_degree, variables)
-        for d in range(max_degree + 1):
-            expected = prev[d] - (prev[d - 1] if d >= 1 else 0)
-            if cur[d] != expected:
-                return False
-        prev = cur
     return True

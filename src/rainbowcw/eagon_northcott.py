@@ -231,13 +231,6 @@ def verify_multidegree_bijection(
 # -- combinatorial witnesses used by the shellability argument -----------------
 
 
-def rainbow_monomials(n: int, m: int) -> Iterator[Monomial]:
-    """All monomials with exactly one variable from each row (columns may
-    repeat across rows)."""
-    for cols in product(range(1, m + 1), repeat=n):
-        yield Monomial({(i + 1, cols[i]): 1 for i in range(n)})
-
-
 def _swap(mono: Monomial, row: int, old: int, new: int) -> Monomial:
     return (mono / Monomial.variable((row, old))) * Monomial.variable((row, new))
 

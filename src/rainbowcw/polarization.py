@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from math import comb
+from typing import Sequence
 
-from .complexes import BasedComplex, Generator, _UnionFind, _exponent_vectors
+from .complexes import BasedComplex
 from .cwposet import FacePoset, face_poset
 from .determinantal import (
     PureComplex,
@@ -24,7 +25,7 @@ from .determinantal import (
     overlap_condition,
     rainbow_dfi,
 )
-from .errors import SetupViolated
+from .errors import NotHomogeneous, SetupViolated
 from .ideals import MonomialIdeal, alexander_dual, codimension, colon
 from .monomials import Monomial, format_monomial
 from .strands import induced_subcomplex
@@ -150,64 +151,160 @@ def boocher_sequence(n: int, m: int) -> list[tuple[Monomial, Monomial]]:
 
 
 def hilbert_profile(
-    gens: list[Generator],
-    sigma: list[Generator],
+    gens: Sequence[Monomial | tuple[Monomial, Monomial]],
+    sigma: Sequence[Monomial | tuple[Monomial, Monomial]],
     max_degree: int,
-    variables,
+    variables: Sequence,
 ) -> list[list[int]]:
-    """Hilbert functions of the quotients by gens + sigma[:k] for every
-    prefix k = 0..len(sigma), sharing one union-find sweep per degree."""
-    var_index = {v: k for k, v in enumerate(variables)}
-    nv = len(variables)
+    """Hilbert functions, in degrees 0..max_degree, of the quotients of
+    k[variables] by gens + sigma[:k] for every prefix k = 0..len(sigma).
 
-    def rows(g: Generator, d: int):
+    A generator is a monomial or a pair (a, b) of variables standing for
+    a - b.  Two exact identities turn every prefix into a monomial ideal and
+    count its quotient:
+
+    * Variable differences: k[x]/(J + (x_a - x_b)) is k[x - x_b]/J' with J'
+      the image of J under x_b -> x_a.  A union-find over the variables
+      keeps the classes of identified variables, and each monomial is
+      rewritten on the classes.
+    * For a monomial ideal I of S and a variable x, the exact sequence
+      0 -> S/(I : x)(-1) -> S/I -> S/(I + x) -> 0 gives
+      HS(S/I) = HS(S/(I + x)) + t HS(S/(I : x)).  The recursion pivots on
+      the variable in the most generators and stops at pairwise coprime
+      generators, where HS = prod (1 - t^deg g) / (1 - t)^#variables.
+
+    Only degrees up to max_degree are kept: a generator above the degree
+    budget is dropped, and the budget falls by one in each colon branch.
+    Each branch loses a variable or a degree, so the depth is at most
+    #variables + max_degree.  All arithmetic is on integers.
+
+    A pair of unequal degrees raises NotHomogeneous; any other pair that is
+    not two variables (such as a binomial of degree 2), a variable outside
+    the ring or a negative max_degree raises ValueError.
+    """
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+    index = {v: k for k, v in enumerate(variables)}
+    parent = list(range(len(index)))
+    monomials: list[tuple[tuple[int, int], ...]] = []
+
+    def find(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = k = parent[parent[k]]
+        return k
+
+    def apply(g) -> None:
         if isinstance(g, Monomial):
-            t = _tuple_of(g, var_index)
-            if g.degree <= d:
-                for u in _exponent_vectors(nv, d - g.degree):
-                    yield (tuple(a + b for a, b in zip(u, t)), None)
+            monomials.append(_indexed(g, index))
         else:
-            a, b = g
-            ta, tb = _tuple_of(a, var_index), _tuple_of(b, var_index)
-            if a.degree <= d:
-                for u in _exponent_vectors(nv, d - a.degree):
-                    yield (
-                        tuple(x + y for x, y in zip(u, ta)),
-                        tuple(x + y for x, y in zip(u, tb)),
-                    )
+            a, b = _variable_pair(g, index)
+            parent[find(a)] = find(b)
 
-    profiles = [[0] * (max_degree + 1) for _ in range(len(sigma) + 1)]
-    for d in range(max_degree + 1):
-        basis = _exponent_vectors(nv, d)
-        index = {t: k for k, t in enumerate(basis)}
-        uf = _UnionFind(len(basis))
+    def profile() -> list[int]:
+        classes = {r: c for c, r in enumerate({find(k) for k in range(len(parent))})}
+        rewritten = []
+        for mono in monomials:
+            exps: dict[int, int] = {}
+            for k, e in mono:
+                c = classes[find(k)]
+                exps[c] = exps.get(c, 0) + e
+            rewritten.append(exps)
+        return _monomial_quotient_hf(rewritten, len(classes), max_degree)
 
-        def apply(g: Generator) -> None:
-            for a, b in rows(g, d):
-                if b is None:
-                    uf.kill(index[a])
-                else:
-                    uf.union(index[a], index[b])
-
-        for g in gens:
-            apply(g)
-        profiles[0][d] = _live_classes(uf, len(basis))
-        for k, step in enumerate(sigma, start=1):
-            apply(step)
-            profiles[k][d] = _live_classes(uf, len(basis))
+    for g in gens:
+        apply(g)
+    profiles = [profile()]
+    for step in sigma:
+        apply(step)
+        profiles.append(profile())
     return profiles
 
 
-def _tuple_of(m: Monomial, var_index: dict) -> tuple[int, ...]:
-    exps = [0] * len(var_index)
-    for v, e in m.exps:
-        exps[var_index[v]] = e
-    return tuple(exps)
+def _indexed(m: Monomial, index: dict) -> tuple[tuple[int, int], ...]:
+    """The (variable index, exponent) pairs of a monomial."""
+    try:
+        return tuple((index[v], e) for v, e in m.exps)
+    except KeyError:
+        raise ValueError(f"generator {m} uses a variable outside the ring") from None
 
 
-def _live_classes(uf: _UnionFind, n: int) -> int:
-    roots = {uf.find(k) for k in range(n)}
-    return sum(1 for r in roots if not uf.killed[r])
+def _variable_pair(g: tuple[Monomial, Monomial], index: dict) -> tuple[int, int]:
+    """The variable indices of a difference a - b of two variables."""
+    a, b = g
+    if a.degree != b.degree:
+        raise NotHomogeneous(f"binomial {a} - {b} is not homogeneous")
+    if a.degree != 1:
+        raise ValueError(
+            f"binomial {a} - {b} has degree {a.degree}; only differences of two variables are supported"
+        )
+    (ka, _), (kb, _) = _indexed(a, index) + _indexed(b, index)
+    return ka, kb
+
+
+def _monomial_quotient_hf(monomials: list[dict[int, int]], nvars: int, top: int) -> list[int]:
+    """Hilbert function in degrees 0..top of k[x_0, ..., x_{nvars-1}] modulo
+    the monomials, each a dict variable -> exponent.
+
+    A monomial is packed into one int, ``width`` bits per variable with the
+    top bit of each field a guard that no exponent reaches, so a divides b
+    exactly when (b | guard) - a keeps every guard bit.  A generator is the
+    triple (degree, packed exponents, support bit mask)."""
+    width = max((e for m in monomials for e in m.values()), default=0).bit_length() + 1
+    guard = sum(1 << (width * v + width - 1) for v in range(nvars))
+    ones = (1 << width) - 1
+
+    def minimal(gens: list, budget: int) -> list:
+        kept: list = []
+        for g in sorted(g for g in gens if g[0] <= budget):
+            if not any((g[1] | guard) - h[1] & guard == guard for h in kept):
+                kept.append(g)
+        return kept
+
+    def series(gens: list, nfree: int, budget: int) -> list[int]:
+        # gens: minimal, none above budget; nfree: variables not yet set to 0
+        if gens and gens[0][0] == 0:
+            return [0] * (budget + 1)
+        seen = 0
+        for _, _, supp in gens:
+            if seen & supp:
+                break
+            seen |= supp
+        else:
+            hf = [1] + [comb(d + nfree - 1, d) if nfree else 0 for d in range(1, budget + 1)]
+            for deg, _, _ in gens:
+                for d in range(budget, deg - 1, -1):
+                    hf[d] -= hf[d - deg]
+            return hf
+        counts: dict[int, int] = {}
+        for _, _, supp in gens:
+            while supp:
+                bit = supp & -supp
+                counts[bit] = counts.get(bit, 0) + 1
+                supp ^= bit
+        pivot = max(counts, key=counts.get)
+        shift = width * (pivot.bit_length() - 1)
+        hf = series([g for g in gens if not g[2] & pivot], nfree - 1, budget)
+        if budget:
+            quotient = []
+            for deg, packed, supp in gens:
+                if supp & pivot:
+                    deg, packed = deg - 1, packed - (1 << shift)
+                    if not packed >> shift & ones:
+                        supp ^= pivot
+                quotient.append((deg, packed, supp))
+            low = series(minimal(quotient, budget - 1), nfree, budget - 1)
+            for d in range(1, budget + 1):
+                hf[d] += low[d - 1]
+        return hf
+
+    gens = []
+    for exps in monomials:
+        packed = supp = 0
+        for v, e in exps.items():
+            packed |= e << (width * v)
+            supp |= 1 << v
+        gens.append((sum(exps.values()), packed, supp))
+    return series(minimal(gens, top), nvars, top)
 
 
 def regular_profile_ok(profiles: list[list[int]]) -> bool:
@@ -219,6 +316,25 @@ def regular_profile_ok(profiles: list[list[int]]) -> bool:
             if value != expected:
                 return False
     return True
+
+
+def hilbert_function(
+    gens: Sequence[Monomial | tuple[Monomial, Monomial]], max_degree: int, variables: Sequence
+) -> list[int]:
+    """Hilbert function, in degrees 0..max_degree, of the quotient of
+    k[variables] by monomials and differences of two variables."""
+    return hilbert_profile(gens, [], max_degree, variables)[0]
+
+
+def verify_regular_sequence(
+    gens: Sequence[Monomial | tuple[Monomial, Monomial]],
+    sigma: Sequence[Monomial | tuple[Monomial, Monomial]],
+    max_degree: int,
+    variables: Sequence,
+) -> bool:
+    """Check that each prefix of ``sigma`` drops the Hilbert function by a
+    (1 - t) convolution, up to ``max_degree``."""
+    return regular_profile_ok(hilbert_profile(gens, sigma, max_degree, variables))
 
 
 @dataclass
@@ -313,6 +429,21 @@ class PolarizationReport:
         }
 
 
+def row_differences(ideal: MonomialIdeal) -> tuple[list, list[tuple[Monomial, Monomial]]]:
+    """The sorted support of a grid ideal, and the differences x_{ij} - x_{ij'}
+    from the first used column j of each row i to every later used one j'."""
+    variables = sorted(ideal.support)
+    by_row: dict[int, list] = {}
+    for (i, j) in variables:
+        by_row.setdefault(i, []).append((i, j))
+    sigma = [
+        (Monomial.variable(cols[0]), Monomial.variable(c))
+        for _, cols in sorted(by_row.items())
+        for c in cols[1:]
+    ]
+    return variables, sigma
+
+
 def certify_polarization(
     delta: PureComplex, order: TermOrder, max_degree: int | None = None
 ) -> PolarizationReport:
@@ -345,15 +476,7 @@ def certify_polarization(
     # No polarization is claimed for a nonlinear rainbow DFI, so the Hilbert
     # verification runs only on the certified side.
     if linear and not dual.is_zero() and not dual.is_unit():
-        dual_vars = sorted(dual.support)
-        by_row: dict[int, list] = {}
-        for (i, j) in dual_vars:
-            by_row.setdefault(i, []).append((i, j))
-        sigma = [
-            (Monomial.variable(cols[0]), Monomial.variable(c))
-            for _, cols in sorted(by_row.items())
-            for c in cols[1:]
-        ]
+        dual_vars, sigma = row_differences(dual)
         used_degree = max_degree
         if used_degree is None:
             # In the certified (linear) case the dual quotient has regularity

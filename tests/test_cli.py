@@ -251,3 +251,46 @@ def test_malformed_targets_is_a_parse_error(capsys):
             "--targets", "1,x"]
     assert run(argv) == 2
     _assert_one_error_line(capsys, "ParseError")
+
+
+# Exit 0 with "regular_sequence_verified": true once, though no degree
+# (or only degree 0, where 1 = 1) was checked.
+@pytest.mark.parametrize("bound", ["-1", "0"])
+def test_max_degree_below_one_rejected(tmp_path, capsys, bound):
+    argv = ["polarize", "--dual-file", _worked_dual(tmp_path), "--max-degree", bound]
+    assert run(argv) == 2
+    _assert_one_error_line(capsys, "RainbowError")
+
+
+@pytest.mark.parametrize("command", ["strand", "polarize"])
+@pytest.mark.parametrize(
+    "facet,kind",
+    [
+        ("9,9,9", "ParseError"),  # once ignored with exit 0
+        ("1,2", "ParseError"),
+        ("0,1,2", "ParseError"),
+        ("1,2,3", "RainbowError"),  # a facet of the dual, not of Delta
+    ],
+)
+def test_delete_of_a_non_facet_rejected(tmp_path, capsys, command, facet, kind):
+    argv = [command, "--dual-file", _worked_dual(tmp_path), "--delete", facet]
+    assert run(argv) == 2
+    _assert_one_error_line(capsys, kind)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["betti", "--ideal-file", "DIR"], ["strand", "--dual-file", "DIR"]],
+)
+def test_directory_as_input_file(tmp_path, capsys, argv):
+    argv = [str(tmp_path) if a == "DIR" else a for a in argv]
+    assert run(argv) == 2
+    _assert_one_error_line(capsys, "IsADirectoryError")
+
+
+@pytest.mark.parametrize("content", [["x[1,1]", 3], {"x[1,1]": 1}])
+def test_malformed_ideal_file_is_a_parse_error(tmp_path, capsys, content):
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(json.dumps(content))
+    assert run(["betti", "--ideal-file", str(ideal)]) == 2
+    _assert_one_error_line(capsys, "ParseError")
