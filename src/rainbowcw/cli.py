@@ -25,13 +25,14 @@ from .determinantal import (
     PureComplex,
     alexander_dual_complex,
     initial_ideal_maximal_minors,
+    initial_minor,
     random_pure_complex,
     random_term_order,
     rainbow_dfi,
 )
 from .eagon_northcott import sparse_eagon_northcott
 from .errors import ParseError, RainbowError, SizeCap
-from .gfp import DEFAULT_PRIME, MAX_PRIME, is_prime
+from .gfp import DEFAULT_PRIME, is_valid_modulus
 from .ideals import MonomialIdeal
 from .monomials import format_monomial, parse_monomial
 from .polarization import certify_polarization, find_free_sequence, free_vertices
@@ -119,7 +120,7 @@ def _check_size(n: int, m: int, force: bool) -> None:
 
 def _prime(args) -> int:
     """The prime from RAINBOW_PRIME, else --prime; rejected unless it is a
-    prime below MAX_PRIME."""
+    prime below gfp.MAX_PRIME."""
     env = os.environ.get("RAINBOW_PRIME")
     if env:
         try:
@@ -128,7 +129,7 @@ def _prime(args) -> int:
             raise ParseError(f"RAINBOW_PRIME is not an integer: {env!r}") from exc
     else:
         p = args.prime
-    if not (p < MAX_PRIME and is_prime(p)):
+    if not is_valid_modulus(p):
         raise RainbowError(f"the modulus must be a prime below 2^31, got {p}")
     return p
 
@@ -182,6 +183,12 @@ def _delta_from_args(args) -> PureComplex:
             drop.add(facet)
         delta = PureComplex(delta.n, delta.m, delta.facets - drop)
     return delta
+
+
+def _vertex_labels(order: TermOrder, facets) -> list[str]:
+    """The sparse Eagon-Northcott vertex label of each facet: its initial
+    minor, formatted."""
+    return [format_monomial(initial_minor(order, f)) for f in facets]
 
 
 def _ideal_json(ideal: MonomialIdeal) -> list[str]:
@@ -270,10 +277,7 @@ def cmd_free_seq(args) -> int:
     _check_size(dual.n, dual.m, args.force)
     order = _load_order(args, dual.n, dual.m)
     cx = sparse_eagon_northcott(order)
-    from .determinantal import initial_minor
-
-    targets = [format_monomial(initial_minor(order, f)) for f in dual.sorted_facets()]
-    report = find_free_sequence(cx, targets)
+    report = find_free_sequence(cx, _vertex_labels(order, dual.sorted_facets()))
     manifest = RunManifest(
         "free-seq", dual.n, dual.m, order.to_json(), p,
         [list(f) for f in dual.sorted_facets()],
@@ -295,11 +299,9 @@ def cmd_polarize(args) -> int:
         [list(f) for f in delta.sorted_facets()],
     )
     if args.summary_csv:
-        from .determinantal import initial_minor
-
         dual = alexander_dual_complex(delta)
         cx = sparse_eagon_northcott(order)
-        targets = [format_monomial(initial_minor(order, f)) for f in dual.sorted_facets()]
+        targets = _vertex_labels(order, dual.sorted_facets())
         free = find_free_sequence(cx, targets).found
         _emit_csv(
             ["n", "m", "r", "linear", "free_seq", "polarization", "power_of_max"],
@@ -338,20 +340,22 @@ def cmd_experiment(args) -> int:
         # Does linear resolution force a free sequence on the dual facets?
         # Tabulated only; no overlap hypothesis is imposed.
         header = ["sample", "n", "m", "r", "linear", "free_seq"]
+        if not args.random_orders:
+            order = diagonal_order(n, m)
+            cx = sparse_eagon_northcott(order)
         for k in range(args.samples):
             dual = random_pure_complex(n, m, rng, rng.randint(0, comb(m, n)))
             delta = alexander_dual_complex(dual)
-            order = random_term_order(n, m, rng) if args.random_orders else diagonal_order(n, m)
+            if args.random_orders:
+                order = random_term_order(n, m, rng)
             rain = rainbow_dfi(delta, order)
             if rain.is_zero():
                 continue
             table = koszul_betti(rain, p=p)
             linear = table.rows_present() <= {0, n - 1}
-            cx = sparse_eagon_northcott(order)
-            from .determinantal import initial_minor
-
-            targets = [format_monomial(initial_minor(order, f)) for f in dual.sorted_facets()]
-            free = find_free_sequence(cx, targets).found
+            if args.random_orders:
+                cx = sparse_eagon_northcott(order)
+            free = find_free_sequence(cx, _vertex_labels(order, dual.sorted_facets())).found
             rows.append([k, n, m, len(dual), int(linear), int(free)])
     elif args.mode == "free-vertex-orders":
         # For the given facets, how often does a random order make them all
@@ -365,12 +369,9 @@ def cmd_experiment(args) -> int:
             cx = sparse_eagon_northcott(order)
             poset = face_poset(cx)
             free = free_vertices(poset)
-            from .determinantal import initial_minor
-
-            labels = [format_monomial(initial_minor(order, f)) for f in targets]
             rows.append(
                 [k, n, m, ";".join(",".join(map(str, t)) for t in targets),
-                 int(all(l in free for l in labels))]
+                 int(all(l in free for l in _vertex_labels(order, targets)))]
             )
     else:
         raise RainbowError(f"unknown experiment mode {args.mode!r}")

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyTable, GradingViolation, NotMinimal
-from .gfp import DEFAULT_PRIME, VectorComplex
+from .gfp import DEFAULT_PRIME, VectorComplex, check_prime
 from .ideals import MonomialIdeal
 from .monomials import Monomial, format_monomial, lcm_of
 
@@ -66,6 +66,7 @@ class BasedComplex:
         self._out = {l: tuple(sorted(v, key=lambda e: pos[e[0]])) for l, v in out.items()}
         self._in = {l: tuple(sorted(v, key=lambda e: pos[e[0]])) for l, v in inc.items()}
         self._vsupp: dict[str, frozenset] = {}
+        self._masks = tuple(tuple(self._mdeg[l].mask for l in layer) for layer in self._basis)
 
     # -- basic access ------------------------------------------------------
 
@@ -159,8 +160,16 @@ class BasedComplex:
         whose multidegree divides alpha; matrix entries are the signs."""
         retained: list[dict[str, int]] = []
         dims: list[int] = []
-        for layer in self._basis:
-            idx = {l: k for k, l in enumerate(l2 for l2 in layer if self._mdeg[l2].divides(alpha))}
+        amask = alpha.mask
+        outside = ~amask
+        for layer, masks in zip(self._basis, self._masks):
+            if amask >= 0:
+                # The divisors of a masked alpha are the masks inside it; a
+                # multidegree without a mask has mask -1, which never is.
+                kept = [l for l, mask in zip(layer, masks) if not mask & outside]
+            else:
+                kept = [l for l in layer if self._mdeg[l].divides(alpha)]
+            idx = {l: k for k, l in enumerate(kept)}
             retained.append(idx)
             dims.append(len(idx))
         diffs: list[dict[tuple[int, int], int]] = [dict() for _ in dims]
@@ -192,6 +201,7 @@ class BasedComplex:
     def is_resolution(self, p: int = DEFAULT_PRIME) -> bool:
         """Acyclicity: every strand over the lcm closure has vanishing
         homology in homological degrees >= 1."""
+        check_prime(p)
         for alpha in self.relevant_multidegrees():
             hom = self.strand_at(alpha).homology_ranks(p)
             if any(hom[1:]):
@@ -281,6 +291,8 @@ def lcm_closure(monomials: Iterable[Monomial], degree_cap: int | None = None) ->
     gens = [m for m in set(monomials) if not m.is_one()]
     if degree_cap is not None:
         gens = [m for m in gens if m.degree <= degree_cap]
+    if all(g.mask >= 0 for g in gens):
+        return _mask_lcm_closure(gens, degree_cap)
     seen: set[Monomial] = set(gens)
     frontier = list(gens)
     while frontier:
@@ -293,6 +305,25 @@ def lcm_closure(monomials: Iterable[Monomial], degree_cap: int | None = None) ->
                     new.append(c)
         frontier = new
     return sorted(seen, key=lambda m: (m.degree, m.sort_key()))
+
+
+def _mask_lcm_closure(gens: list[Monomial], degree_cap: int | None) -> list[Monomial]:
+    """The lcm closure of masked monomials: an lcm is the union of the
+    masks, so each candidate is decided on ints and only new elements are
+    built."""
+    seen = {g.mask: g for g in gens}
+    frontier = list(gens)
+    while frontier:
+        new: list[Monomial] = []
+        for a in frontier:
+            amask = a.mask
+            for g in gens:
+                union = amask | g.mask
+                if union not in seen and (degree_cap is None or union.bit_count() <= degree_cap):
+                    seen[union] = c = a.lcm(g)
+                    new.append(c)
+        frontier = new
+    return sorted(seen.values(), key=lambda m: (m.degree, m.sort_key()))
 
 
 # -- Betti tables -------------------------------------------------------------------
@@ -491,6 +522,7 @@ def koszul_betti(
     restricts the table to total degrees <= cap (used for linear-strand
     comparisons, where only row entries up to the resolution length matter).
     """
+    check_prime(p)
     if ideal.is_unit():
         raise ValueError("Betti table of the unit ideal is not defined here")
     if len(ideal.support) > max_vars:

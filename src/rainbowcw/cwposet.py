@@ -23,6 +23,9 @@ from .gfp import DEFAULT_PRIME, VectorComplex
 from .monomials import Monomial, format_monomial
 
 BOTTOM = "0"
+# The most atoms a closed lower interval may have for its atom orderings to
+# be checked; a larger interval is refused with SizeCap before any work.
+MAX_ATOMS = 12
 
 
 @dataclass
@@ -211,7 +214,7 @@ def recursive_atom_ordering_check(
     atom_order: Sequence[str] | None = None,
     atom_key: Callable[[str], object] | None = None,
     scramble: Callable[[str, list[str]], list[str]] | None = None,
-    max_atoms: int = 12,
+    max_atoms: int = MAX_ATOMS,
     max_depth: int = 8,
 ) -> bool:
     """Verify that the given ordering of the atoms of [bottom, x] is a
@@ -316,7 +319,17 @@ def is_cw_poset(
 ) -> CWCertificate:
     """Certify the CW-poset axioms: least element, nontriviality, thinness,
     sphere homology of every open lower interval, and a recursive atom
-    ordering of every closed lower interval."""
+    ordering of every closed lower interval.
+
+    Raises SizeCap before any other work when a closed lower interval has
+    more than MAX_ATOMS atoms, since its atom orderings would not be checked.
+    """
+    for x in poset.ranks:
+        atoms = len(poset.atoms(poset.bottom, x))
+        if atoms > MAX_ATOMS:
+            raise SizeCap(
+                f"interval with more than {MAX_ATOMS} atoms: [bottom, {x}] has {atoms}"
+            )
     failures: list[str] = []
     has_least = poset.bottom in poset.ranks and all(
         poset.le(poset.bottom, x) for x in poset.ranks

@@ -1,9 +1,11 @@
 """Exact linear algebra over a prime field GF(p).
 
-Homology of the vector-space strands is computed from matrix ranks.  Small
-matrices go through dense vectorized elimination; larger ones through a
-sparse row-dict elimination with Markowitz-style pivoting (strand matrices
-have entries in {+1, -1} and very low fill).
+Homology of the vector-space strands is computed from matrix ranks, and
+every rank goes through one elimination: ``sparse_rank_mod_p`` reduces each
+row in turn against a table of pivot rows keyed by their lowest column, over
+plain Python ints.  Strand matrices have entries in {+1, -1}, very low fill
+and many empty or tiny instances, so the cost follows the nonzero entries
+rather than the matrix shape.
 
 The default prime 32003 is large enough that ranks almost surely agree with
 characteristic-0 ranks at desk scale; certificates are rerun at p = 2 to
@@ -13,15 +15,14 @@ surface characteristic dependence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isqrt
 
-import numpy as np
-
 DEFAULT_PRIME = 32003
-# Moduli stay below 2^31 so that the int64 products in dense_rank_mod_p,
-# at most (p - 1)^2, stay below 2^63.
+# Every modulus must be a prime below this bound.  The arithmetic is on
+# Python ints and would take any prime; the bound keeps trial division in
+# ``is_prime`` cheap and is the modulus range the CLI documents.
 MAX_PRIME = 1 << 31
-_DENSE_LIMIT = 160_000  # nrows * ncols above which the sparse path is used
 
 
 def is_prime(p: int) -> bool:
@@ -29,96 +30,62 @@ def is_prime(p: int) -> bool:
     return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
-def dense_rank_mod_p(matrix: np.ndarray, p: int) -> int:
-    a = np.asarray(matrix, dtype=np.int64) % p
-    nrows, ncols = a.shape
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivots = np.nonzero(a[r:, c])[0]
-        if pivots.size == 0:
-            continue
-        pr = r + int(pivots[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        below = np.nonzero(a[r + 1 :, c])[0]
-        if below.size:
-            idx = below + r + 1
-            a[idx] = (a[idx] - np.outer(a[idx, c], a[r])) % p
-        r += 1
-    return r
+@lru_cache(maxsize=64, typed=True)
+def is_valid_modulus(p: int) -> bool:
+    """Whether ``p`` is a Python int that is a prime below MAX_PRIME; cached,
+    so a repeated check costs one lookup."""
+    return isinstance(p, int) and p < MAX_PRIME and is_prime(p)
+
+
+def check_prime(p: int) -> None:
+    """Raise ValueError unless ``p`` is a prime below MAX_PRIME."""
+    if not is_valid_modulus(p):
+        raise ValueError(f"the modulus must be a prime below 2^31, got {p!r}")
 
 
 def sparse_rank_mod_p(rows: list[dict[int, int]], p: int) -> int:
-    """Rank of the matrix whose rows are {column: value} dicts."""
-    alive: dict[int, dict[int, int]] = {}
-    col_rows: dict[int, set[int]] = {}
-    for i, row in enumerate(rows):
-        rd = {c: v % p for c, v in row.items() if v % p}
-        if rd:
-            alive[i] = rd
-            for c in rd:
-                col_rows.setdefault(c, set()).add(i)
+    """Rank over GF(p) of the matrix whose rows are {column: value} dicts.
 
-    rank = 0
-    while alive:
-        # Markowitz pivot: minimize (row_nnz - 1) * (col_nnz - 1).
-        best = None
-        for c, rs in col_rows.items():
-            if not rs:
-                continue
-            cn = len(rs) - 1
-            for i in rs:
-                score = (len(alive[i]) - 1) * cn
-                if best is None or score < best[0]:
-                    best = (score, i, c)
-                if score == 0:
-                    break
-            if best[0] == 0:
+    Each row is reduced in turn: while the pivot table holds a row for the
+    row's lowest column, that pivot row is subtracted; when the lowest
+    column is new, the row is stored there, scaled to a leading 1.  The
+    pivot rows are linearly independent and span the rows seen so far, so
+    the rank is the number of pivots.
+    """
+    # A pivot is kept as the (column, value) pairs after its leading 1.
+    pivots: dict[int, list[tuple[int, int]]] = {}
+    for given in rows:
+        row = {c: r for c, v in given.items() if (r := v % p)}
+        while row:
+            low = min(row)
+            factor = row.pop(low)
+            pivot = pivots.get(low)
+            if pivot is None:
+                inv = pow(factor, -1, p)
+                pivots[low] = [(c, v * inv % p) for c, v in row.items()]
                 break
-        if best is None:
-            break
-        _, pi, pc = best
-        prow = alive.pop(pi)
-        for c in prow:
-            col_rows[c].discard(pi)
-        inv = pow(prow[pc], p - 2, p)
-        prow = {c: (v * inv) % p for c, v in prow.items()}
-        rank += 1
-        for i in list(col_rows.get(pc, ())):
-            row = alive[i]
-            factor = row[pc]
-            for c, v in prow.items():
+            for c, v in pivot:
                 new = (row.get(c, 0) - factor * v) % p
                 if new:
-                    if c not in row:
-                        col_rows.setdefault(c, set()).add(i)
                     row[c] = new
-                elif c in row:
-                    del row[c]
-                    col_rows[c].discard(i)
-            if not row:
-                del alive[i]
-        col_rows.pop(pc, None)
-    return rank
+                else:
+                    del row[c]  # a zero needs a nonzero entry to cancel
+    return len(pivots)
 
 
 def matrix_rank(entries: dict[tuple[int, int], int], nrows: int, ncols: int, p: int) -> int:
     """Rank of a sparse integer matrix given as {(row, col): value}."""
+    check_prime(p)
     if not entries or nrows == 0 or ncols == 0:
         return 0
-    if nrows * ncols <= _DENSE_LIMIT:
-        a = np.zeros((nrows, ncols), dtype=np.int64)
-        for (i, j), v in entries.items():
-            a[i, j] = v % p
-        return dense_rank_mod_p(a, p)
-    rows: list[dict[int, int]] = [dict() for _ in range(nrows)]
+    rows: dict[int, dict[int, int]] = {}
     for (i, j), v in entries.items():
-        rows[i][j] = v
-    return sparse_rank_mod_p(rows, p)
+        row = rows.get(i)
+        if row is None:
+            rows[i] = {j: v}
+        else:
+            row[j] = v
+    return sparse_rank_mod_p(list(rows.values()), p)
 
 
 @dataclass
@@ -150,5 +117,6 @@ class VectorComplex:
 
     def homology_ranks(self, p: int) -> list[int]:
         """dim H_i for i = 0..top."""
+        check_prime(p)
         ranks = [self.rank(i, p) for i in range(self.top + 2)]
         return [self.dims[i] - ranks[i] - ranks[i + 1] for i in range(self.top + 1)]

@@ -5,6 +5,13 @@ matrix, both 1-based) or a bare integer ``i`` for specialized rings.  A
 monomial stores its exponent vector sparsely as a sorted tuple of
 ``(variable, exponent)`` pairs with all exponents positive, so equality and
 hashing are exact and order-independent.
+
+A squarefree monomial over grid variables ``(i, j)`` with 1 <= i, j <= STRIDE
+also carries its support as a bit mask: variable (i, j) is bit
+(i - 1) * STRIDE + (j - 1).  Bits follow the row-major variable order, so the
+bit order is the sorted order of ``exps``.  Divisibility, lcm and degree of
+two such monomials are int operations; every other monomial has mask -1 and
+takes the exponent-tuple path.
 """
 
 from __future__ import annotations
@@ -17,11 +24,24 @@ from .errors import ParseError
 
 Variable = Union[tuple[int, int], int]
 
+STRIDE = 16
+_VAR_BIT = {
+    (i, j): 1 << ((i - 1) * STRIDE + j - 1)
+    for i in range(1, STRIDE + 1)
+    for j in range(1, STRIDE + 1)
+}
+# The exps entry of each bit, in bit order.
+_BIT_TERM = tuple((v, 1) for v in sorted(_VAR_BIT))
+
 
 class Monomial:
-    """An exact monomial: an immutable sparse exponent vector."""
+    """An exact monomial: an immutable sparse exponent vector.
 
-    __slots__ = ("exps", "_hash")
+    ``mask`` is the support bit mask of a squarefree grid monomial (see the
+    module docstring) and -1 for every other monomial.
+    """
+
+    __slots__ = ("exps", "_hash", "mask")
 
     def __init__(self, exps: Mapping[Variable, int] | Iterable[tuple[Variable, int]] = ()):
         items = dict(exps)
@@ -31,6 +51,21 @@ class Monomial:
                 raise ValueError("negative exponent")
         self.exps: tuple[tuple[Variable, int], ...] = cleaned
         self._hash = hash(cleaned)
+
+    def __getattr__(self, name: str):
+        # Called only for an unset slot: ``mask`` is computed on first read
+        # and stored, so monomials whose mask is never read never pay for it.
+        if name != "mask":
+            raise AttributeError(name)
+        mask = 0
+        for v, e in self.exps:
+            bit = _VAR_BIT.get(v) if e == 1 else None
+            if bit is None:
+                mask = -1
+                break
+            mask |= bit
+        self.mask = mask
+        return mask
 
     @staticmethod
     def one() -> "Monomial":
@@ -65,6 +100,8 @@ class Monomial:
 
     @property
     def degree(self) -> int:
+        if self.mask >= 0:
+            return self.mask.bit_count()
         return sum(e for _, e in self.exps)
 
     @property
@@ -84,6 +121,11 @@ class Monomial:
         return Monomial(m)
 
     def divides(self, other: "Monomial") -> bool:
+        b = other.mask
+        if b >= 0:
+            # A monomial without a mask has a variable or an exponent that
+            # no masked monomial has; its mask -1 meets ~b, so this is False.
+            return not self.mask & ~b
         it = dict(other.exps)
         return all(it.get(v, 0) >= e for v, e in self.exps)
 
@@ -98,6 +140,14 @@ class Monomial:
         return Monomial(m)
 
     def lcm(self, other: "Monomial") -> "Monomial":
+        a, b = self.mask, other.mask
+        if a >= 0 and b >= 0:
+            union = a | b
+            if union == a:
+                return self
+            if union == b:
+                return other
+            return _from_mask(union)
         m = dict(self.exps)
         for v, e in other.exps:
             if e > m.get(v, 0):
@@ -119,6 +169,22 @@ class Monomial:
 
 
 _ONE = Monomial()
+
+
+def _from_mask(mask: int) -> Monomial:
+    """The squarefree grid monomial with support mask ``mask`` >= 0, built
+    from its bits without sorting and without ``Monomial.__init__``."""
+    terms = []
+    rest = mask
+    while rest:
+        low = rest & -rest
+        terms.append(_BIT_TERM[low.bit_length() - 1])
+        rest ^= low
+    mono = object.__new__(Monomial)
+    mono.exps = exps = tuple(terms)
+    mono._hash = hash(exps)
+    mono.mask = mask
+    return mono
 
 
 def lcm_of(monomials: Iterable[Monomial]) -> Monomial:

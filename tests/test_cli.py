@@ -294,3 +294,13 @@ def test_malformed_ideal_file_is_a_parse_error(tmp_path, capsys, content):
     ideal.write_text(json.dumps(content))
     assert run(["betti", "--ideal-file", str(ideal)]) == 2
     _assert_one_error_line(capsys, "ParseError")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cw_check_refuses_an_oversized_interval_before_any_work(capsys, n):
+    # At n x 8 the largest closed lower intervals have 15 to 18 atoms; the
+    # check counts them first instead of running the interval homology.
+    assert run(["cw-check", "-n", str(n), "-m", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: SizeCap: interval with more than 12 atoms")

@@ -132,6 +132,23 @@ def test_atom_ordering_size_cap():
         recursive_atom_ordering_check(B, top, max_atoms=2)
 
 
+def test_is_cw_poset_refuses_too_many_atoms_up_front(monkeypatch):
+    # bottom < 13 atoms < one top: not thin, so not a CW poset, but the atom
+    # count is checked first and the answer is SizeCap, not verdict false.
+    atoms = [f"a{k}" for k in range(13)]
+    P = FacePoset(
+        bottom="0",
+        ranks={"0": 0, **{a: 1 for a in atoms}, "t": 2},
+        mdegs={x: Monomial.one() for x in ["0", *atoms, "t"]},
+        covers_down={"0": (), **{a: ("0",) for a in atoms}, "t": tuple(atoms)},
+        covers_up={"0": tuple(atoms), **{a: ("t",) for a in atoms}, "t": ()},
+        signs={},
+    )
+    monkeypatch.setattr("rainbowcw.cwposet.is_thin", lambda _: pytest.fail("ran thinness"))
+    with pytest.raises(SizeCap, match="more than 12 atoms: \\[bottom, t\\] has 13"):
+        is_cw_poset(P)
+
+
 def test_is_cw_poset(order35):
     o = order35
     P = face_poset(sparse_eagon_northcott(o))

@@ -3,7 +3,8 @@ from hypothesis import given, strategies as st
 
 from rainbowcw import Monomial, diagonal_order, format_monomial, parse_monomial
 from rainbowcw.errors import ParseError
-from rainbowcw.termorders import EQ, GT, LT
+from rainbowcw.monomials import STRIDE
+from rainbowcw.termorders import EQ, GT, LT, TermOrder
 
 
 def grid_monomials(n=2, m=3, max_exp=3):
@@ -72,3 +73,107 @@ def test_lcm_gcd_are_bounds(a, b):
     assert a.divides(l) and b.divides(l)
     assert g.divides(a) and g.divides(b)
     assert l.degree + g.degree == a.degree + b.degree
+
+
+# -- the squarefree bit masks against an exponent-tuple reference ---------------
+
+# Rows and columns on both sides of the mask stride, so monomials with and
+# without a mask meet in every operation.
+_ROWS = [1, 2, 3, STRIDE, STRIDE + 1]
+_COLS = [1, 2, 5, STRIDE, STRIDE + 1]
+
+
+def _monomials(variables, exponents):
+    return st.dictionaries(variables, exponents, max_size=6).map(Monomial)
+
+
+_grid_vars = st.tuples(st.sampled_from(_ROWS), st.sampled_from(_COLS))
+any_monomials = st.one_of(
+    _monomials(_grid_vars, st.just(1)),  # squarefree grid: masked unless past the stride
+    _monomials(_grid_vars, st.integers(0, 3)),
+    _monomials(st.integers(1, 6), st.integers(0, 2)),  # plain-int variables
+)
+grid_monomials_both = st.one_of(
+    _monomials(_grid_vars, st.just(1)), _monomials(_grid_vars, st.integers(0, 3))
+)
+
+
+def _ref_divides(a, b):
+    other = dict(b.exps)
+    return all(other.get(v, 0) >= e for v, e in a.exps)
+
+
+def _ref_lcm(a, b):
+    out = dict(a.exps)
+    for v, e in b.exps:
+        out[v] = max(out.get(v, 0), e)
+    return tuple(sorted(out.items()))
+
+
+def _ref_mask(exps):
+    if any(e != 1 or not isinstance(v, tuple) for v, e in exps):
+        return -1
+    if any(not (1 <= i <= STRIDE and 1 <= j <= STRIDE) for (i, j), _ in exps):
+        return -1
+    return sum(1 << (i - 1) * STRIDE + j - 1 for (i, j), _ in exps)
+
+
+@given(any_monomials)
+def test_mask_degree_and_squarefree_match_the_exponents(a):
+    assert a.mask == _ref_mask(a.exps)
+    assert a.degree == sum(e for _, e in a.exps)
+    assert a.is_squarefree() == all(e == 1 for _, e in a.exps)
+
+
+@given(st.one_of(st.tuples(grid_monomials_both, grid_monomials_both),
+                 st.tuples(any_monomials, st.just(Monomial.one())),
+                 st.tuples(st.just(Monomial.one()), any_monomials)))
+def test_divides_lcm_eq_hash_match_the_exponent_reference(pair):
+    a, b = pair
+    assert a.divides(b) == _ref_divides(a, b)
+    assert b.divides(a) == _ref_divides(b, a)
+    lcm = a.lcm(b)
+    assert lcm.exps == _ref_lcm(a, b)
+    rebuilt = Monomial(dict(reversed(lcm.exps)))
+    assert lcm == rebuilt and hash(lcm) == hash(rebuilt) and lcm.mask == rebuilt.mask
+    assert lcm.degree == sum(e for _, e in lcm.exps)
+    assert (a == b) == (a.exps == b.exps)
+    if a.exps == b.exps:
+        assert hash(a) == hash(b)
+
+
+def _ref_key(order, mono):
+    """The order's key from its definition: weight, then the dense row-major
+    exponent vector, larger on an earlier variable winning."""
+    dense = [0] * (order.n * order.m)
+    weight = 0
+    for (i, j), e in mono.exps:
+        dense[(i - 1) * order.m + j - 1] = e
+        weight += order.weights[i - 1][j - 1] * e
+    return (weight, tuple(dense))
+
+
+@st.composite
+def orders_and_monomials(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.sampled_from([2, 4, STRIDE, STRIDE + 2]))  # the last has no masks
+    top = draw(st.sampled_from([0, 2, 50]))  # small weights force lex tiebreaks
+    weights = tuple(tuple(draw(st.integers(0, top)) for _ in range(m)) for _ in range(n))
+    variables = st.tuples(st.integers(1, n), st.integers(1, m))
+    monos = st.one_of(_monomials(variables, st.just(1)), _monomials(variables, st.integers(0, 3)))
+    return TermOrder(n, m, weights), draw(st.lists(monos, min_size=2, max_size=8))
+
+
+@given(orders_and_monomials())
+def test_term_order_matches_the_dense_reference(case):
+    order, monos = case
+    for a in monos:
+        assert order.weight(a) == _ref_key(order, a)[0]
+        for b in monos:
+            ka, kb = _ref_key(order, a), _ref_key(order, b)
+            want = GT if ka > kb else LT if ka < kb else EQ
+            assert order.compare(a, b) == want
+            assert (order.sort_key(a) < order.sort_key(b)) == (ka < kb)
+    assert [m.exps for m in sorted(monos, key=order.sort_key)] == [
+        m.exps for m in sorted(monos, key=lambda m: _ref_key(order, m))
+    ]
