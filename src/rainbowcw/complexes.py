@@ -24,7 +24,7 @@ import numpy as np
 from .errors import EmptyTable, GradingViolation, NotMinimal
 from .gfp import DEFAULT_PRIME, VectorComplex, check_prime
 from .ideals import MonomialIdeal
-from .monomials import Monomial, format_monomial, lcm_of
+from .monomials import Monomial, format_monomial, lcm_of, squarefree_lcm_closure
 
 
 class BasedComplex:
@@ -66,7 +66,7 @@ class BasedComplex:
         self._out = {l: tuple(sorted(v, key=lambda e: pos[e[0]])) for l, v in out.items()}
         self._in = {l: tuple(sorted(v, key=lambda e: pos[e[0]])) for l, v in inc.items()}
         self._vsupp: dict[str, frozenset] = {}
-        self._masks = tuple(tuple(self._mdeg[l].mask for l in layer) for layer in self._basis)
+        self._layer_mdegs = tuple(tuple(self._mdeg[l] for l in layer) for layer in self._basis)
 
     # -- basic access ------------------------------------------------------
 
@@ -160,16 +160,8 @@ class BasedComplex:
         whose multidegree divides alpha; matrix entries are the signs."""
         retained: list[dict[str, int]] = []
         dims: list[int] = []
-        amask = alpha.mask
-        outside = ~amask
-        for layer, masks in zip(self._basis, self._masks):
-            if amask >= 0:
-                # The divisors of a masked alpha are the masks inside it; a
-                # multidegree without a mask has mask -1, which never is.
-                kept = [l for l, mask in zip(layer, masks) if not mask & outside]
-            else:
-                kept = [l for l in layer if self._mdeg[l].divides(alpha)]
-            idx = {l: k for k, l in enumerate(kept)}
+        for layer, mdegs in zip(self._basis, self._layer_mdegs):
+            idx = {layer[k]: n for n, k in enumerate(alpha.divisor_positions(mdegs))}
             retained.append(idx)
             dims.append(len(idx))
         diffs: list[dict[tuple[int, int], int]] = [dict() for _ in dims]
@@ -201,7 +193,6 @@ class BasedComplex:
     def is_resolution(self, p: int = DEFAULT_PRIME) -> bool:
         """Acyclicity: every strand over the lcm closure has vanishing
         homology in homological degrees >= 1."""
-        check_prime(p)
         for alpha in self.relevant_multidegrees():
             hom = self.strand_at(alpha).homology_ranks(p)
             if any(hom[1:]):
@@ -291,39 +282,20 @@ def lcm_closure(monomials: Iterable[Monomial], degree_cap: int | None = None) ->
     gens = [m for m in set(monomials) if not m.is_one()]
     if degree_cap is not None:
         gens = [m for m in gens if m.degree <= degree_cap]
-    if all(g.mask >= 0 for g in gens):
-        return _mask_lcm_closure(gens, degree_cap)
-    seen: set[Monomial] = set(gens)
-    frontier = list(gens)
-    while frontier:
-        new: list[Monomial] = []
-        for a in frontier:
-            for g in gens:
-                c = a.lcm(g)
-                if c not in seen and (degree_cap is None or c.degree <= degree_cap):
-                    seen.add(c)
-                    new.append(c)
-        frontier = new
-    return sorted(seen, key=lambda m: (m.degree, m.sort_key()))
-
-
-def _mask_lcm_closure(gens: list[Monomial], degree_cap: int | None) -> list[Monomial]:
-    """The lcm closure of masked monomials: an lcm is the union of the
-    masks, so each candidate is decided on ints and only new elements are
-    built."""
-    seen = {g.mask: g for g in gens}
-    frontier = list(gens)
-    while frontier:
-        new: list[Monomial] = []
-        for a in frontier:
-            amask = a.mask
-            for g in gens:
-                union = amask | g.mask
-                if union not in seen and (degree_cap is None or union.bit_count() <= degree_cap):
-                    seen[union] = c = a.lcm(g)
-                    new.append(c)
-        frontier = new
-    return sorted(seen.values(), key=lambda m: (m.degree, m.sort_key()))
+    closed = squarefree_lcm_closure(gens, degree_cap)
+    if closed is None:
+        closed = set(gens)
+        frontier = list(gens)
+        while frontier:
+            new: list[Monomial] = []
+            for a in frontier:
+                for g in gens:
+                    c = a.lcm(g)
+                    if c not in closed and (degree_cap is None or c.degree <= degree_cap):
+                        closed.add(c)
+                        new.append(c)
+            frontier = new
+    return sorted(closed, key=lambda m: (m.degree, m.sort_key()))
 
 
 # -- Betti tables -------------------------------------------------------------------

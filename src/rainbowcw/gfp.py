@@ -20,21 +20,20 @@ from math import isqrt
 
 DEFAULT_PRIME = 32003
 # Every modulus must be a prime below this bound.  The arithmetic is on
-# Python ints and would take any prime; the bound keeps trial division in
-# ``is_prime`` cheap and is the modulus range the CLI documents.
+# Python ints and would take any prime; the bound keeps the trial division in
+# ``is_valid_modulus`` cheap and is the modulus range the CLI documents.
 MAX_PRIME = 1 << 31
-
-
-def is_prime(p: int) -> bool:
-    """Trial division; meant for moduli below MAX_PRIME."""
-    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 @lru_cache(maxsize=64, typed=True)
 def is_valid_modulus(p: int) -> bool:
-    """Whether ``p`` is a Python int that is a prime below MAX_PRIME; cached,
-    so a repeated check costs one lookup."""
-    return isinstance(p, int) and p < MAX_PRIME and is_prime(p)
+    """Whether ``p`` is a Python int that is a prime below MAX_PRIME, by
+    trial division; cached, so a repeated check costs one lookup."""
+    return (
+        isinstance(p, int)
+        and 2 <= p < MAX_PRIME
+        and all(p % d for d in range(2, isqrt(p) + 1))
+    )
 
 
 def check_prime(p: int) -> None:
@@ -117,6 +116,5 @@ class VectorComplex:
 
     def homology_ranks(self, p: int) -> list[int]:
         """dim H_i for i = 0..top."""
-        check_prime(p)
         ranks = [self.rank(i, p) for i in range(self.top + 2)]
         return [self.dims[i] - ranks[i] - ranks[i + 1] for i in range(self.top + 1)]

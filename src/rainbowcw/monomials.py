@@ -10,15 +10,16 @@ A squarefree monomial over grid variables ``(i, j)`` with 1 <= i, j <= STRIDE
 also carries its support as a bit mask: variable (i, j) is bit
 (i - 1) * STRIDE + (j - 1).  Bits follow the row-major variable order, so the
 bit order is the sorted order of ``exps``.  Divisibility, lcm and degree of
-two such monomials are int operations; every other monomial has mask -1 and
-takes the exponent-tuple path.
+two such monomials, the divisors of one among many and the lcm closure of
+many are int operations; every other monomial has mask -1 and takes the
+exponent-tuple path.
 """
 
 from __future__ import annotations
 
 import re
 from functools import reduce
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ParseError
 
@@ -129,6 +130,15 @@ class Monomial:
         it = dict(other.exps)
         return all(it.get(v, 0) >= e for v, e in self.exps)
 
+    def divisor_positions(self, monomials: Sequence["Monomial"]) -> list[int]:
+        """The positions in ``monomials`` of those that divide this one; on
+        a mask, one int test each and no call."""
+        b = self.mask
+        if b < 0:
+            return [k for k, m in enumerate(monomials) if m.divides(self)]
+        outside = ~b
+        return [k for k, m in enumerate(monomials) if not m.mask & outside]
+
     def __truediv__(self, other: "Monomial") -> "Monomial":
         """Exact division; raises if ``other`` does not divide ``self``."""
         m = dict(self.exps)
@@ -189,6 +199,30 @@ def _from_mask(mask: int) -> Monomial:
 
 def lcm_of(monomials: Iterable[Monomial]) -> Monomial:
     return reduce(Monomial.lcm, monomials, Monomial.one())
+
+
+def squarefree_lcm_closure(
+    gens: list[Monomial], degree_cap: int | None = None
+) -> list[Monomial] | None:
+    """The closure of ``gens`` under pairwise lcm, without the lcms above
+    total degree ``degree_cap``, in no particular order; None unless every
+    generator has a mask.  An lcm is the union of the masks, so each
+    candidate is decided on ints and only new elements are built."""
+    if any(g.mask < 0 for g in gens):
+        return None
+    seen = {g.mask: g for g in gens}
+    frontier = list(gens)
+    while frontier:
+        new: list[Monomial] = []
+        for a in frontier:
+            amask = a.mask
+            for g in gens:
+                union = amask | g.mask
+                if union not in seen and (degree_cap is None or union.bit_count() <= degree_cap):
+                    seen[union] = c = a.lcm(g)
+                    new.append(c)
+        frontier = new
+    return list(seen.values())
 
 
 def format_monomial(m: Monomial) -> str:

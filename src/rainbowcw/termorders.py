@@ -51,14 +51,6 @@ class TermOrder:
         wa, wb = self.weight(a), self.weight(b)
         if wa != wb:
             return GT if wa > wb else LT
-        ma, mb = a.mask, b.mask
-        if ma >= 0 and mb >= 0:
-            # Bits follow the row-major variable order, so the lowest
-            # differing bit is the earliest variable where the exponents
-            # differ; the weights above already rejected variables outside
-            # the n x m grid.
-            diff = ma ^ mb
-            return GT if ma & diff & -diff else LT
         ka, kb = self._lex_key(a), self._lex_key(b)
         return GT if ka > kb else LT
 

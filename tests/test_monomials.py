@@ -1,9 +1,11 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
 from rainbowcw import Monomial, diagonal_order, format_monomial, parse_monomial
 from rainbowcw.errors import ParseError
-from rainbowcw.monomials import STRIDE
+from rainbowcw.monomials import STRIDE, lcm_of, squarefree_lcm_closure
 from rainbowcw.termorders import EQ, GT, LT, TermOrder
 
 
@@ -132,6 +134,10 @@ def test_divides_lcm_eq_hash_match_the_exponent_reference(pair):
     a, b = pair
     assert a.divides(b) == _ref_divides(a, b)
     assert b.divides(a) == _ref_divides(b, a)
+    candidates = [b, a, Monomial.one(), a.lcm(b)]
+    for alpha in (a, b):
+        want = [k for k, c in enumerate(candidates) if _ref_divides(c, alpha)]
+        assert alpha.divisor_positions(candidates) == want
     lcm = a.lcm(b)
     assert lcm.exps == _ref_lcm(a, b)
     rebuilt = Monomial(dict(reversed(lcm.exps)))
@@ -156,7 +162,7 @@ def _ref_key(order, mono):
 @st.composite
 def orders_and_monomials(draw):
     n = draw(st.integers(1, 3))
-    m = draw(st.sampled_from([2, 4, STRIDE, STRIDE + 2]))  # the last has no masks
+    m = draw(st.sampled_from([2, 4, STRIDE, STRIDE + 2]))
     top = draw(st.sampled_from([0, 2, 50]))  # small weights force lex tiebreaks
     weights = tuple(tuple(draw(st.integers(0, top)) for _ in range(m)) for _ in range(n))
     variables = st.tuples(st.integers(1, n), st.integers(1, m))
@@ -177,3 +183,28 @@ def test_term_order_matches_the_dense_reference(case):
     assert [m.exps for m in sorted(monos, key=order.sort_key)] == [
         m.exps for m in sorted(monos, key=lambda m: _ref_key(order, m))
     ]
+
+
+_masked_monomials = _monomials(
+    st.tuples(st.sampled_from(_ROWS[:-1]), st.sampled_from(_COLS[:-1])), st.just(1)
+)
+
+
+@given(st.lists(_masked_monomials, min_size=2, max_size=6), st.one_of(st.none(), st.integers(1, 6)))
+def test_squarefree_lcm_closure_is_the_set_of_subset_lcms(gens, cap):
+    gens = [g for g in set(gens) if cap is None or g.degree <= cap]
+    closed = squarefree_lcm_closure(gens, cap)
+    want = set()
+    for k in range(1, len(gens) + 1):
+        for subset in combinations(gens, k):
+            lcm = lcm_of(subset)
+            if cap is None or lcm.degree <= cap:
+                want.add(lcm.exps)
+    assert sorted(m.exps for m in closed) == sorted(want)
+    assert all(m.mask == _ref_mask(m.exps) for m in closed)
+
+
+@given(st.lists(_masked_monomials, max_size=3), any_monomials)
+def test_squarefree_lcm_closure_needs_every_mask(gens, other):
+    closed = squarefree_lcm_closure(gens + [other])
+    assert (closed is None) == (_ref_mask(other.exps) < 0)
