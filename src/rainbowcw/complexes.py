@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyTable, GradingViolation, NotMinimal
+from .errors import EmptyTable, GradingViolation, NotMinimal, SizeCap, UnitIdeal
 from .gfp import DEFAULT_PRIME, VectorComplex, check_prime
 from .ideals import MonomialIdeal
 from .monomials import Monomial, format_monomial, lcm_of, squarefree_lcm_closure
@@ -481,11 +481,17 @@ def _cells_homology(cells: list[int], s: int, p: int) -> list[int]:
     return VectorComplex(dims, diffs).homology_ranks(p)
 
 
+# Each multidegree alpha of the sweep allocates 2^|supp(alpha)| standard-subset
+# masks (int64), and without a degree cap the lcm of all generators is one of
+# them: 22 variables ask for 32 MiB, 30 would ask for 8 GiB.  Every rainbow
+# DFI inside the CLI's size caps uses at most n(m - n + 1) = 20 variables.
+MAX_SUPPORT = 22
+
+
 def koszul_betti(
     ideal: MonomialIdeal,
     p: int = DEFAULT_PRIME,
     degree_cap: int | None = None,
-    max_vars: int = 40,
 ) -> BettiTable:
     """Full multigraded Betti table of R/I by rank computations over GF(p).
 
@@ -493,12 +499,18 @@ def koszul_betti(
     generators, so the sweep runs over the pairwise-lcm closure; a degree cap
     restricts the table to total degrees <= cap (used for linear-strand
     comparisons, where only row entries up to the resolution length matter).
+    Raises ``UnitIdeal`` for the unit ideal and ``SizeCap``, before any
+    work, for an ideal on more than ``MAX_SUPPORT`` variables.
     """
     check_prime(p)
     if ideal.is_unit():
-        raise ValueError("Betti table of the unit ideal is not defined here")
-    if len(ideal.support) > max_vars:
-        raise ValueError(f"ideal has more than {max_vars} variables")
+        raise UnitIdeal("the Betti table of the unit ideal is not defined")
+    if len(ideal.support) > MAX_SUPPORT:
+        raise SizeCap(
+            f"the ideal uses {len(ideal.support)} variables; the Koszul oracle "
+            f"allocates 2^k masks for a multidegree on k variables and is capped "
+            f"at {MAX_SUPPORT}"
+        )
     table = BettiTable()
     table.add(0, Monomial.one(), 1)
     for alpha in lcm_closure(ideal.gens, degree_cap=degree_cap):

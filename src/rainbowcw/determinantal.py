@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
+from operator import getitem
 from typing import Iterable, Sequence
 
-from .errors import DegenerateOrder, NonTotalOrder, ParseError
+from .errors import DegenerateOrder, ParseError
 from .ideals import MonomialIdeal
 from .monomials import Monomial
-from .termorders import EQ, TermOrder, random_weights
+from .termorders import TermOrder, random_weights
 
 
 @dataclass(frozen=True)
@@ -29,36 +31,66 @@ class SignedTerm:
 def minor_terms(n: int, cols: Sequence[int]) -> list[SignedTerm]:
     """All n! permutation terms of the maximal minor on the given columns of
     the generic n x m matrix, with permutation signs."""
+    cols = _sorted_cols(n, cols)
+    return [SignedTerm(sign, _term(cols, perm)) for perm, sign in _signed_permutations(n)]
+
+
+@cache
+def _signed_permutations(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every permutation of range(n) in lexicographic order, with its sign."""
+    out = []
+    for perm in permutations(range(n)):
+        inversions = sum(1 for a, b in combinations(perm, 2) if a > b)
+        out.append((perm, -1 if inversions % 2 else 1))
+    return tuple(out)
+
+
+def _sorted_cols(n: int, cols: Sequence[int]) -> tuple[int, ...]:
     cols = tuple(sorted(cols))
     if len(cols) != n:
         raise ValueError(f"need {n} columns, got {cols}")
-    out = []
-    for perm in permutations(range(n)):
-        sign = _parity(perm)
-        mono = Monomial({(i + 1, cols[perm[i]]): 1 for i in range(n)})
-        out.append(SignedTerm(sign, mono))
-    return out
+    return cols
 
 
-def _parity(perm: Sequence[int]) -> int:
-    inversions = sum(
-        1 for a in range(len(perm)) for b in range(a + 1, len(perm)) if perm[a] > perm[b]
-    )
-    return -1 if inversions % 2 else 1
+def _term(cols: tuple[int, ...], perm: tuple[int, ...]) -> Monomial:
+    """The monomial x[1, cols[perm[0]]] * ... * x[n, cols[perm[n - 1]]]."""
+    return Monomial({(i + 1, cols[p]): 1 for i, p in enumerate(perm)})
+
+
+def _top_weight_terms(
+    order: TermOrder, cols: tuple[int, ...]
+) -> list[tuple[tuple[int, ...], int]]:
+    """The (permutation, sign) pairs whose term has the largest weight in the
+    minor on the sorted columns ``cols``, in lexicographic order."""
+    w = [[row[c - 1] for c in cols] for row in order.weights]
+    top, tied = None, []
+    for perm, sign in _signed_permutations(order.n):
+        score = sum(map(getitem, w, perm))
+        if top is None or score > top:
+            top, tied = score, [(perm, sign)]
+        elif score == top:
+            tied.append((perm, sign))
+    return tied
 
 
 def initial_term(order: TermOrder, cols: Sequence[int]) -> SignedTerm:
     """The order-maximal term of the minor on ``cols``, with its sign in the
-    determinant expansion."""
-    terms = minor_terms(order.n, cols)
-    best = terms[0]
-    for t in terms[1:]:
-        c = order.compare(t.monomial, best.monomial)
-        if c == EQ and t.monomial != best.monomial:
-            raise NonTotalOrder(f"tie between distinct monomials {t.monomial} and {best.monomial}")
-        if c > 0:
-            best = t
-    return best
+    determinant expansion.
+
+    The term of a permutation weighs the sum of ``order.weights[i][c - 1]``
+    over its variables x[i + 1, c]; the heaviest term wins.  When several
+    terms share the top weight (under the diagonal order all n! do), the
+    winner among them is the maximum under ``order.compare``, that is the
+    order's lexicographic tiebreak.  Only the terms at the top weight are
+    built."""
+    cols = _sorted_cols(order.n, cols)
+    tied = _top_weight_terms(order, cols)
+    if len(tied) == 1:
+        perm, sign = tied[0]
+        return SignedTerm(sign, _term(cols, perm))
+    terms = {_term(cols, perm): sign for perm, sign in tied}
+    best = order.max(terms)
+    return SignedTerm(terms[best], best)
 
 
 def initial_minor(order: TermOrder, cols: Sequence[int]) -> Monomial:
@@ -149,13 +181,10 @@ def random_term_order(
     tiebreak never decides an initial term)."""
     while True:
         order = random_weights(n, m, rng, max_weight)
-        ok = True
-        for cols in combinations(range(1, m + 1), n):
-            weights = [order.weight(t.monomial) for t in minor_terms(n, cols)]
-            if weights.count(max(weights)) > 1:
-                ok = False
-                break
-        if ok:
+        if all(
+            len(_top_weight_terms(order, cols)) == 1
+            for cols in combinations(range(1, m + 1), n)
+        ):
             return order
 
 

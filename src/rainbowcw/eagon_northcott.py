@@ -103,7 +103,13 @@ def sparse_eagon_northcott(order: TermOrder) -> BasedComplex:
     attaining the maximum survive.  Labels are the multidegrees themselves,
     which are pairwise distinct (a collision aborts construction)."""
     en = eagon_northcott_complex(order.n, order.m)
+    variables = {
+        (i, j): Monomial.variable((i, j))
+        for i in range(1, order.n + 1)
+        for j in range(1, order.m + 1)
+    }
     mdeg_of: dict[ENBasisElement, Monomial] = {}
+    label_of: dict[ENBasisElement, str] = {}
     basis: list[list[tuple[str, Monomial]]] = [[("1", Monomial.one())]]
     diff: dict[tuple[str, str], int] = {}
 
@@ -111,7 +117,7 @@ def sparse_eagon_northcott(order: TermOrder) -> BasedComplex:
     for e in en.layers[1]:
         term = initial_term(order, e.cols)
         mdeg_of[e] = term.monomial
-        label = format_monomial(term.monomial)
+        label_of[e] = label = format_monomial(term.monomial)
         layer1.append((label, term.monomial))
         # The augmentation keeps the sign of the initial term inside the
         # minor; the lead terms of the standard minor relations only cancel
@@ -123,16 +129,16 @@ def sparse_eagon_northcott(order: TermOrder) -> BasedComplex:
         layer = []
         for e in en.layers[ell]:
             terms = [
-                (sign, var, tgt, Monomial.variable(var) * mdeg_of[tgt])
+                (sign, tgt, variables[var] * mdeg_of[tgt])
                 for sign, var, tgt in en.differential(e)
             ]
-            mdeg = order.max(prod for _, _, _, prod in terms)
+            mdeg = order.max(prod for _, _, prod in terms)
             mdeg_of[e] = mdeg
-            label = format_monomial(mdeg)
+            label_of[e] = label = format_monomial(mdeg)
             layer.append((label, mdeg))
-            for sign, _, tgt, prod in terms:
+            for sign, tgt, prod in terms:
                 if prod == mdeg:
-                    diff[(label, format_monomial(mdeg_of[tgt]))] = sign
+                    diff[(label, label_of[tgt])] = sign
         basis.append(layer)
     return BasedComplex(basis, diff)
 

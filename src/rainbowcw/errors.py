@@ -42,10 +42,6 @@ class NotHomogeneous(RainbowError):
     """Inhomogeneous generator passed to a graded computation."""
 
 
-class NonTotalOrder(RainbowError):
-    """Two distinct monomials compared equal; the term order is broken."""
-
-
 class DegenerateOrder(RainbowError):
     """Distinct minors produced equal initial terms; invalid weight choice."""
 

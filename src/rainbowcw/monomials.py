@@ -116,6 +116,11 @@ class Monomial:
         return all(e == 1 for _, e in self.exps)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
+        a, b = self.mask, other.mask
+        if a >= 0 and b >= 0 and not a & b:
+            # Coprime squarefree grid monomials: the product is squarefree
+            # too, with the union of the masks.
+            return _from_mask(a | b)
         m = dict(self.exps)
         for v, e in other.exps:
             m[v] = m.get(v, 0) + e

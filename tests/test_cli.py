@@ -304,3 +304,15 @@ def test_cw_check_refuses_an_oversized_interval_before_any_work(capsys, n):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: SizeCap: interval with more than 12 atoms")
+
+
+# Both once ended in a ValueError traceback with exit code 1.
+@pytest.mark.parametrize(
+    "content,kind",
+    [(["1"], "UnitIdeal"), ([f"x[{i}]" for i in range(1, 42)], "SizeCap")],
+)
+def test_betti_refuses_the_unit_ideal_and_too_many_variables(tmp_path, capsys, content, kind):
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(json.dumps(content))
+    assert run(["betti", "--ideal-file", str(ideal)]) == 2
+    _assert_one_error_line(capsys, kind)

@@ -1,7 +1,8 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rainbowcw import (
     Monomial,
@@ -17,6 +18,7 @@ from rainbowcw import (
     random_term_order,
 )
 from rainbowcw.determinantal import initial_term
+from rainbowcw.termorders import TermOrder, random_weights
 from tests.conftest import LEFT_VERTEX_LABELS, RIGHT_VERTEX_LABELS
 
 
@@ -138,3 +140,92 @@ def test_pure_complex_validation():
         PureComplex(3, 5, [(1, 2)])
     with pytest.raises(ValueError):
         PureComplex(3, 5, [(1, 2, 6)])
+
+
+# -- the weight scorer against the n!-term compare loop it replaced -------------
+
+
+def _ref_parity(perm):
+    inversions = sum(
+        1 for a in range(len(perm)) for b in range(a + 1, len(perm)) if perm[a] > perm[b]
+    )
+    return -1 if inversions % 2 else 1
+
+
+def _ref_minor_terms(n, cols):
+    cols = tuple(sorted(cols))
+    return [
+        (_ref_parity(perm), Monomial({(i + 1, cols[perm[i]]): 1 for i in range(n)}))
+        for perm in permutations(range(n))
+    ]
+
+
+def ref_initial_term(order, cols):
+    """Every term of the minor, compared pairwise with ``order.compare``."""
+    terms = _ref_minor_terms(order.n, cols)
+    best = terms[0]
+    for t in terms[1:]:
+        if order.compare(t[1], best[1]) > 0:
+            best = t
+    return best
+
+
+def _ref_random_term_order(n, m, rng, max_weight=10_000):
+    while True:
+        order = random_weights(n, m, rng, max_weight)
+        ok = True
+        for cols in combinations(range(1, m + 1), n):
+            weights = [order.weight(mono) for _, mono in _ref_minor_terms(n, cols)]
+            if weights.count(max(weights)) > 1:
+                ok = False
+                break
+        if ok:
+            return order
+
+
+@st.composite
+def term_orders(draw, max_n=4, max_m=7):
+    """Orders up to max_n x max_m; weights all zero, tie-heavy (0..1, 0..2)
+    or generic."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(n, max_m))
+    top = draw(st.sampled_from([0, 1, 2, 10_000]))
+    return TermOrder(n, m, tuple(
+        tuple(draw(st.integers(0, top)) for _ in range(m)) for _ in range(n)))
+
+
+def seeded_order(n, m, top):
+    rng = random.Random(f"{n}x{m} {top}")
+    return TermOrder(n, m, tuple(tuple(rng.randint(0, top) for _ in range(m)) for _ in range(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_orders())
+@example(seeded_order(4, 7, 0))
+@example(seeded_order(4, 7, 1))
+@example(seeded_order(4, 7, 2))
+@example(seeded_order(4, 7, 10_000))
+def test_initial_term_and_minor_terms_match_the_compare_loop(order):
+    for cols in combinations(range(1, order.m + 1), order.n):
+        want = ref_initial_term(order, cols)
+        got = initial_term(order, cols)
+        assert (got.sign, got.monomial.exps) == (want[0], want[1].exps)
+        assert [(t.sign, t.monomial.exps) for t in minor_terms(order.n, cols)] == [
+            (s, mono.exps) for s, mono in _ref_minor_terms(order.n, cols)]
+
+
+@pytest.mark.parametrize("max_weight", [2, 20, 10_000])
+def test_random_term_order_draws_match_the_compare_loop(max_weight):
+    # With weights 0..2, 6 of 2000 draws at 3x5 and none of 2000 at 4x7 are
+    # free of ties, so the rejection loop runs only on two-row sizes there.
+    sizes = [(1, 3), (2, 4), (2, 5), (3, 5), (3, 6), (4, 6), (4, 7)]
+    for seed in range(3):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for n, m in sizes if max_weight > 2 else sizes[:3]:
+            assert random_term_order(n, m, rng, max_weight) == _ref_random_term_order(
+                n, m, ref, max_weight)
+
+
+def test_initial_term_rejects_a_wrong_column_count():
+    with pytest.raises(ValueError):
+        initial_term(diagonal_order(3, 5), (1, 2))

@@ -1,10 +1,13 @@
 import random
 from math import comb
 
+from hypothesis import example, given, settings
+
 from rainbowcw import (
     BasedComplex,
     Monomial,
     diagonal_order,
+    format_monomial,
     initial_ideal_maximal_minors,
     koszul_betti,
     parse_monomial,
@@ -21,6 +24,7 @@ from rainbowcw.eagon_northcott import (
     semimodularity_witness,
 )
 from tests.conftest import LEFT_VERTEX_LABELS, RIGHT_VERTEX_LABELS
+from tests.test_determinantal import ref_initial_term, seeded_order, term_orders
 
 
 def en_ranks(n, m):
@@ -188,3 +192,60 @@ def test_diagonal_blocks_are_consecutive_chunks(order35):
                     size = e.alpha[row] + 1
                     assert tuple(cols[pos:pos + size]) == blocks[row]
                     pos += size
+
+
+# -- the build against a plain reference -------------------------------------------
+
+
+def _exponent_product(a, b):
+    exps = dict(a.exps)
+    for v, e in b.exps:
+        exps[v] = exps.get(v, 0) + e
+    return Monomial(exps)
+
+
+def ref_sparse_eagon_northcott(order):
+    """The sparse EN build written plainly: initial terms from the n!-term
+    compare loop, every product built through ``Monomial.__init__`` and every
+    target label formatted again."""
+    en = eagon_northcott_complex(order.n, order.m)
+    mdeg_of = {}
+    basis = [[("1", Monomial.one())]]
+    diff = {}
+    layer1 = []
+    for e in en.layers[1]:
+        sign, mono = ref_initial_term(order, e.cols)
+        mdeg_of[e] = mono
+        layer1.append((format_monomial(mono), mono))
+        diff[(format_monomial(mono), "1")] = sign
+    basis.append(layer1)
+    for ell in range(2, len(en.layers)):
+        layer = []
+        for e in en.layers[ell]:
+            terms = [
+                (sign, tgt, _exponent_product(Monomial.variable(var), mdeg_of[tgt]))
+                for sign, var, tgt in en.differential(e)
+            ]
+            mdeg = order.max(prod for _, _, prod in terms)
+            mdeg_of[e] = mdeg
+            label = format_monomial(mdeg)
+            layer.append((label, mdeg))
+            for sign, tgt, prod in terms:
+                if prod == mdeg:
+                    diff[(label, format_monomial(mdeg_of[tgt]))] = sign
+        basis.append(layer)
+    return BasedComplex(basis, diff)
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_orders())
+@example(seeded_order(4, 7, 0))
+@example(seeded_order(4, 7, 1))
+@example(seeded_order(4, 7, 2))
+@example(seeded_order(4, 7, 10_000))
+def test_sparse_en_matches_the_reference_build(order):
+    cx, ref = sparse_eagon_northcott(order), ref_sparse_eagon_northcott(order)
+    assert cx.to_json() == ref.to_json()
+    for i in range(ref.top_degree + 1):
+        for label in ref.labels(i):
+            assert cx.mdeg(label).exps == ref.mdeg(label).exps

@@ -9,6 +9,7 @@ all 2^s masks, with ranks from ``gfp.matrix_rank``.
 import random
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from rainbowcw import (
     random_term_order,
 )
 from rainbowcw.complexes import (
+    MAX_SUPPORT,
     _cells_homology,
     _cone_cells,
     _standard_subsets,
@@ -27,6 +29,7 @@ from rainbowcw.complexes import (
     koszul_strand_homology,
     lcm_closure,
 )
+from rainbowcw.errors import SizeCap, UnitIdeal
 from rainbowcw.gfp import matrix_rank
 from rainbowcw.monomials import Monomial
 
@@ -117,3 +120,14 @@ def test_every_pivot_gives_the_reference_homology(gens, alpha, p):
     s = len(alpha.support)
     for k in range(s):
         assert _cells_homology(_cone_cells(standard, k), s, p) == expected
+
+
+def test_oracle_refuses_the_unit_ideal_and_a_support_past_the_cap():
+    # One generator on MAX_SUPPORT variables is the largest sweep it takes:
+    # the 2^22 masks of its one multidegree.
+    top = Monomial({v: 1 for v in range(1, MAX_SUPPORT + 1)})
+    assert koszul_betti(MonomialIdeal([top])).total_vector() == (1, 1)
+    with pytest.raises(SizeCap):
+        koszul_betti(MonomialIdeal([top * Monomial.variable(MAX_SUPPORT + 1)]))
+    with pytest.raises(UnitIdeal):
+        koszul_betti(MonomialIdeal([Monomial.one()]))

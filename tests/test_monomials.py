@@ -90,14 +90,35 @@ def _monomials(variables, exponents):
 
 
 _grid_vars = st.tuples(st.sampled_from(_ROWS), st.sampled_from(_COLS))
+plain_monomials = _monomials(st.integers(1, 6), st.integers(0, 2))  # plain-int variables
 any_monomials = st.one_of(
     _monomials(_grid_vars, st.just(1)),  # squarefree grid: masked unless past the stride
     _monomials(_grid_vars, st.integers(0, 3)),
-    _monomials(st.integers(1, 6), st.integers(0, 2)),  # plain-int variables
+    plain_monomials,
 )
 grid_monomials_both = st.one_of(
     _monomials(_grid_vars, st.just(1)), _monomials(_grid_vars, st.integers(0, 3))
 )
+
+
+@st.composite
+def _coprime_squarefree(draw):
+    """Two squarefree grid monomials with disjoint supports, split from one."""
+    whole = draw(_monomials(_grid_vars, st.just(1)))
+    left = draw(st.lists(st.booleans(), min_size=len(whole.exps), max_size=len(whole.exps)))
+    return (Monomial([t for t, l in zip(whole.exps, left) if l]),
+            Monomial([t for t, l in zip(whole.exps, left) if not l]))
+
+
+# Squarefree grid monomials on six variables: two of them mostly overlap.
+_crowded_squarefree = _monomials(st.tuples(st.integers(1, 2), st.integers(1, 3)), st.just(1))
+
+
+def _ref_mul(a, b):
+    out = dict(a.exps)
+    for v, e in b.exps:
+        out[v] = out.get(v, 0) + e
+    return tuple(sorted(out.items()))
 
 
 def _ref_divides(a, b):
@@ -128,10 +149,18 @@ def test_mask_degree_and_squarefree_match_the_exponents(a):
 
 
 @given(st.one_of(st.tuples(grid_monomials_both, grid_monomials_both),
+                 _coprime_squarefree(),
+                 st.tuples(_crowded_squarefree, _crowded_squarefree),
+                 st.tuples(plain_monomials, plain_monomials),
                  st.tuples(any_monomials, st.just(Monomial.one())),
                  st.tuples(st.just(Monomial.one()), any_monomials)))
 def test_divides_lcm_eq_hash_match_the_exponent_reference(pair):
     a, b = pair
+    for x, y in ((a, b), (b, a)):
+        product = x * y
+        rebuilt = Monomial(dict(_ref_mul(x, y)))
+        assert product.exps == rebuilt.exps and hash(product) == hash(rebuilt)
+        assert product == rebuilt and product.mask == _ref_mask(rebuilt.exps)
     assert a.divides(b) == _ref_divides(a, b)
     assert b.divides(a) == _ref_divides(b, a)
     candidates = [b, a, Monomial.one(), a.lcm(b)]
