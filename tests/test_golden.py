@@ -1,11 +1,17 @@
 """Golden CLI outputs: the sha256 of everything a run writes (stdout, then
-each side file by name) for initial-ideal, sparse-en --certify-cw and
-cw-check at 2x4 and 3x5 under the diagonal order and a committed weight
-order, and for strand --betti-csv and polarize --summary-csv on the worked
-3x5 dual, each at p = 2 and p = 32003.
+each side file by name), each at p = 2 and p = 32003, for
+- initial-ideal, sparse-en --certify-cw and cw-check at 2x4 and 3x5, and
+  sparse-en --certify-cw and cw-check at 2x5, 3x4, 2x6, 3x6 and 4x6, under
+  the diagonal order and a committed weight order per size;
+- sparse-en --export dot at 2x4 and 3x5 under both orders;
+- strand --betti-csv and polarize --summary-csv on the worked 3x5 dual;
+- experiment --mode free-vertex-orders at 3x5;
+and, at p = 32003 only since it takes seconds, cw-check at 2x7.
 
-The digests were recorded from the implementation before integer-weight
-initial terms; a change that moves any byte of these outputs fails here.
+The 2x4 and 3x5 digests of the first three commands and the dual35 runs were
+recorded from the implementation before integer-weight initial terms, the
+rest from the label-based face poset before it became an int-mask view of
+its complex.  A change that moves any byte of these outputs fails here.
 Regenerate them only for an intended change of output, and say so.
 """
 
@@ -31,6 +37,22 @@ RUNS = {
     for n, m in ((2, 4), (3, 5))
     for order in (False, True)
 }
+RUNS.update(
+    (f"{' '.join(command)} {n}x{m} {'weights' if order else 'diagonal'}",
+     _sized(command, n, m, order))
+    for command in (["sparse-en", "--certify-cw"], ["cw-check"])
+    for n, m in ((2, 5), (3, 4), (2, 6), (3, 6), (4, 6))
+    for order in (False, True)
+)
+RUNS.update(
+    (f"sparse-en --export dot {n}x{m} {'weights' if order else 'diagonal'}",
+     _sized(["sparse-en", "--export", "dot"], n, m, order))
+    for n, m in ((2, 4), (3, 5))
+    for order in (False, True)
+)
+RUNS["experiment free-vertex-orders 3x5"] = [
+    "experiment", "-n", "3", "-m", "5", "--mode", "free-vertex-orders",
+    "--samples", "12", "--seed", "3", "--targets", "2,3,4"]
 RUNS["strand --betti-csv dual35"] = [
     "strand", "--dual-file", str(DATA / "dual35.json"), "--betti-csv", "{tmp}/betti.csv"]
 RUNS["polarize --summary-csv dual35"] = [
@@ -93,16 +115,128 @@ GOLDEN = {
         "2d6561fd7e7763a9c7edcbaf9a1107763ef3230dadace98aa630319efdac3118",
     "polarize --summary-csv dual35 p=32003":
         "479292bd75916d635ed62914f78f6eac1eae19aab2385f831e3f69e1f3c93548",
+    "sparse-en --certify-cw 2x5 diagonal p=2":
+        "c2758e61c338392c7974d724f25fa47448cac16f38eeb9ce7f105c8d120488a5",
+    "sparse-en --certify-cw 2x5 diagonal p=32003":
+        "40ea32ed08ff61c2cda4359b2eb7053cd96d7437746a0492a99925e9a9d12e6b",
+    "sparse-en --certify-cw 2x5 weights p=2":
+        "012f5fefb4a1b29362b170ffa08fcfd85e4d0f06edccb8104b4c93c2d852d0e5",
+    "sparse-en --certify-cw 2x5 weights p=32003":
+        "449ab0b01ce7a51222f6a855c5fced94bb0e3d5395c2b7981447f7c2112c57f3",
+    "sparse-en --certify-cw 3x4 diagonal p=2":
+        "dd35121a3432bf25da10966097229640287e0c34edf83983f608e41afd348a9a",
+    "sparse-en --certify-cw 3x4 diagonal p=32003":
+        "d352743ea3ef26a2dea8ca88d7f4d15e2e08cec0dbe0a18edc8976c9af6f6669",
+    "sparse-en --certify-cw 3x4 weights p=2":
+        "a2c87e8bc166d0844a95e7b4f8f309142fcdda1479dd0b734f9b7a39a2090fae",
+    "sparse-en --certify-cw 3x4 weights p=32003":
+        "4a866ea019af0427ffe450444e6cd5506b13ea2ffc3253c5ea8fe0c28c183a9c",
+    "sparse-en --certify-cw 2x6 diagonal p=2":
+        "143302228fc25b1f9fd98951323a069550c17327092b715ea526e7cbf7c8ee09",
+    "sparse-en --certify-cw 2x6 diagonal p=32003":
+        "e92528969af3e5db5fce3b3bcd834582691ee1c4a3f2a31a4c6f6d06edd3a4d0",
+    "sparse-en --certify-cw 2x6 weights p=2":
+        "9f7bbaf999679e535a3f43cdcbbf454b12197a47d0b67da836581ae561d33a98",
+    "sparse-en --certify-cw 2x6 weights p=32003":
+        "0756e0a43882860ef9073fd7c984b22579bf0248cd656ad98cb51fb5b94abbef",
+    "sparse-en --certify-cw 3x6 diagonal p=2":
+        "ca80261579e19863511439d4f8aaeb7c72819de51e2960d29140c322753470c8",
+    "sparse-en --certify-cw 3x6 diagonal p=32003":
+        "4fe31d576674e3ca3cac958de143ea8da9e5fc33a05cb79c6f150091eb8dd3e0",
+    "sparse-en --certify-cw 3x6 weights p=2":
+        "521a0f5452c9dfbe299d405222e5dbfac2525390b103c5e036c4e5731b89b559",
+    "sparse-en --certify-cw 3x6 weights p=32003":
+        "136802a66ebbe94534c6d5e586ff36a662ad1ae6e1700c75a750fbaa7f1065b4",
+    "sparse-en --certify-cw 4x6 diagonal p=2":
+        "395d88e7f26cb3ec5ac03fc2e4b2555ee8f3725d4561bd8f309443b74348fb8a",
+    "sparse-en --certify-cw 4x6 diagonal p=32003":
+        "495d9688990faace5f0d45fe69d0fda5fa6860368726c56b9664ab11ba867090",
+    "sparse-en --certify-cw 4x6 weights p=2":
+        "77c75de7318be9ebecc025757b07bc97da6ed69f0ef005d6e0f6c89f7947882c",
+    "sparse-en --certify-cw 4x6 weights p=32003":
+        "83390f871e95ef9ae5fc2de592a2e871b8285b5bc2798f9f25ccab4a50123739",
+    "cw-check 2x5 diagonal p=2":
+        "fffc1f132ca43b522cc01bc0a5d9d4d48f45d859709d6f3134be71bc2f796bd6",
+    "cw-check 2x5 diagonal p=32003":
+        "1dc3caa1c885dec769afa7fa7b37b34ab7cdf00defc8e47a3e22b47d04609091",
+    "cw-check 2x5 weights p=2":
+        "a13f03d28af0b651149a149751d3b96f865e0a054ad49bedecfa8d612e0e3e03",
+    "cw-check 2x5 weights p=32003":
+        "26a69feb5948dfa9b1fcfc76cb3fc31ca641399f4214550bf3e5bd2f3a1ea43b",
+    "cw-check 3x4 diagonal p=2":
+        "46ffcc9caf5be2da1c28c9dedf07dacbdcce7e9bb131e0b143e74cb5a9d0a98a",
+    "cw-check 3x4 diagonal p=32003":
+        "72a97c1aec639922314cd8d7d913d55a32bb4349306a9e948bd52c75bab68566",
+    "cw-check 3x4 weights p=2":
+        "bf2c5b0e20dc02831acfc07dd90129cfb9a1c1b0c7ae08f85b37482ba313cb6b",
+    "cw-check 3x4 weights p=32003":
+        "7b00778cf821ba46c10ccac387421b9e793389c38b70f73d7927c30434fd2b3c",
+    "cw-check 2x6 diagonal p=2":
+        "09ca986c68206d06bb73b5f03e2042b562ac58d9938b10225d432d0fb7490247",
+    "cw-check 2x6 diagonal p=32003":
+        "36287103f14649cadd5f9241e23254144db7c658f1f94cbe9ef6a026cbcd5581",
+    "cw-check 2x6 weights p=2":
+        "7a89d929c0d602d387ec602273cc8d4f2061fa1944b647fca82e682bd586096c",
+    "cw-check 2x6 weights p=32003":
+        "5e5a4676dbf520b87831272df1c94491fc31afcc2f2d6d820adf35deaa6fc9d5",
+    "cw-check 3x6 diagonal p=2":
+        "05fff443386edeaf5f45c77bf50094c15f58670b8a78ea489b5ad39c6c8dac42",
+    "cw-check 3x6 diagonal p=32003":
+        "198a29e43e4b78e7a17c695a61111b72f17d752637e197efe5e83188ccf444c0",
+    "cw-check 3x6 weights p=2":
+        "6dbf7064308d864e89aea2b63f921dc9759bb082cc88257eb9132d7e3651e9c0",
+    "cw-check 3x6 weights p=32003":
+        "20c11eb79c5d45a616507ca12a1e4878f6a8c20b05e36394733f3b35a9c892ee",
+    "cw-check 4x6 diagonal p=2":
+        "e5090a959cd483d8aa8f6d0410bb4ac03b803597312c7feb2de54913d6b93345",
+    "cw-check 4x6 diagonal p=32003":
+        "c49e6e83c6bc755c02b4b02c47fc416e66f604be8ca4f14ae2ccabf540918c67",
+    "cw-check 4x6 weights p=2":
+        "ff2146bdf61606072f41c127dedd7156cbd8fea8e2db83cfa2ebf41b5bd35117",
+    "cw-check 4x6 weights p=32003":
+        "e69552a11cf3ade4879d4d2a694ad455e82d15c829b0cc8b268ef2d881867799",
+    "sparse-en --export dot 2x4 diagonal p=2":
+        "0b63abe52832aee09be65d0d0221ead27a7e391003cad64766b1320b3482039e",
+    "sparse-en --export dot 2x4 diagonal p=32003":
+        "0b63abe52832aee09be65d0d0221ead27a7e391003cad64766b1320b3482039e",
+    "sparse-en --export dot 2x4 weights p=2":
+        "0cbee8291bcfd251269d56f0ee0207e4c18599b65379da53760c8c140cd0c91f",
+    "sparse-en --export dot 2x4 weights p=32003":
+        "0cbee8291bcfd251269d56f0ee0207e4c18599b65379da53760c8c140cd0c91f",
+    "sparse-en --export dot 3x5 diagonal p=2":
+        "4e83f973f26c8fb9b65987b8bb9403143da0a7fd91ae38e14526875e5050cf8e",
+    "sparse-en --export dot 3x5 diagonal p=32003":
+        "4e83f973f26c8fb9b65987b8bb9403143da0a7fd91ae38e14526875e5050cf8e",
+    "sparse-en --export dot 3x5 weights p=2":
+        "fd44684268b3204428c1f368c8881d617eb0d3c058d390031bd96e931e2ff75a",
+    "sparse-en --export dot 3x5 weights p=32003":
+        "fd44684268b3204428c1f368c8881d617eb0d3c058d390031bd96e931e2ff75a",
+    "experiment free-vertex-orders 3x5 p=2":
+        "d7764e1fb2f5622cb3f73764ed373e7dff210fa84e4a01d375b0f755e8d00e27",
+    "experiment free-vertex-orders 3x5 p=32003":
+        "206957663a2e717aecd206b97a8481fdb537fbad29ca0043158e695514609e4b",
+    "cw-check 2x7 diagonal p=32003":
+        "1f96dbf53dde98a1ee74c3454f0121140225cc9ee560e0b07d59cdb93c8dcc7c",
 }
+
+
+def _digest(argv, prime, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("RAINBOW_PRIME", raising=False)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv] + ["--prime", str(prime)]
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode())
+    for side in sorted(tmp_path.iterdir()):
+        digest.update(side.read_bytes())
+    return digest.hexdigest()
 
 
 @pytest.mark.parametrize("prime", [2, 32003])
 @pytest.mark.parametrize("name", list(RUNS))
 def test_cli_output_matches_golden(name, prime, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("RAINBOW_PRIME", raising=False)
-    argv = [a.replace("{tmp}", str(tmp_path)) for a in RUNS[name]] + ["--prime", str(prime)]
-    assert main(argv) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode())
-    for side in sorted(tmp_path.iterdir()):
-        digest.update(side.read_bytes())
-    assert digest.hexdigest() == GOLDEN[f"{name} p={prime}"]
+    got = _digest(RUNS[name], prime, tmp_path, capsys, monkeypatch)
+    assert got == GOLDEN[f"{name} p={prime}"]
+
+
+def test_cw_check_2x7_matches_golden(tmp_path, capsys, monkeypatch):
+    got = _digest(["cw-check", "-n", "2", "-m", "7"], 32003, tmp_path, capsys, monkeypatch)
+    assert got == GOLDEN["cw-check 2x7 diagonal p=32003"]
