@@ -73,5 +73,6 @@ from .strands import (
     rainbow_linear_strand,
     strand_via_kernel,
     support_chain,
+    vertex_label,
 )
 from .termorders import TermOrder, diagonal_order, weight_order

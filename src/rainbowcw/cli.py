@@ -25,7 +25,6 @@ from .determinantal import (
     PureComplex,
     alexander_dual_complex,
     initial_ideal_maximal_minors,
-    initial_minor,
     random_pure_complex,
     random_term_order,
     rainbow_dfi,
@@ -36,7 +35,7 @@ from .gfp import DEFAULT_PRIME, is_valid_modulus
 from .ideals import MonomialIdeal
 from .monomials import format_monomial, parse_monomial
 from .polarization import certify_polarization, find_free_sequence, free_vertices
-from .strands import rainbow_linear_strand
+from .strands import rainbow_linear_strand, vertex_label
 from .termorders import TermOrder, diagonal_order
 
 MAX_N, MAX_M, MAX_CHOOSE = 4, 8, 70
@@ -155,12 +154,16 @@ def _load_pure_complex(path: str) -> PureComplex:
             raise ParseError(f"bad complex file: {exc}") from exc
 
 
-def _parse_facet(spec: str) -> tuple[int, ...]:
-    """A facet given as 'c1,c2,...' on the command line."""
+def _parse_facet(spec: str, n: int, m: int) -> tuple[int, ...]:
+    """A facet given as 'c1,c2,...' on the command line: n distinct columns
+    in 1..m."""
     try:
-        return tuple(sorted(int(x) for x in spec.split(",")))
+        facet = tuple(sorted(int(x) for x in spec.split(",")))
     except ValueError as exc:
         raise ParseError(f"bad facet {spec!r}: expected comma-separated column numbers") from exc
+    if len(facet) != n or len(set(facet)) != n or not all(1 <= c <= m for c in facet):
+        raise ParseError(f"bad facet {spec!r}: expected {n} distinct columns in 1..{m}")
+    return facet
 
 
 def _delta_from_args(args) -> PureComplex:
@@ -173,22 +176,12 @@ def _delta_from_args(args) -> PureComplex:
     if getattr(args, "delete", None):
         drop = set()
         for spec in args.delete:
-            facet = _parse_facet(spec)
-            if len(set(facet)) != delta.n or not all(1 <= c <= delta.m for c in facet):
-                raise ParseError(
-                    f"bad facet {spec!r}: expected {delta.n} distinct columns in 1..{delta.m}"
-                )
+            facet = _parse_facet(spec, delta.n, delta.m)
             if facet not in delta.facets:
                 raise RainbowError(f"--delete {spec!r}: {list(facet)} is not a facet of Delta")
             drop.add(facet)
         delta = PureComplex(delta.n, delta.m, delta.facets - drop)
     return delta
-
-
-def _vertex_labels(order: TermOrder, facets) -> list[str]:
-    """The sparse Eagon-Northcott vertex label of each facet: its initial
-    minor, formatted."""
-    return [format_monomial(initial_minor(order, f)) for f in facets]
 
 
 def _ideal_json(ideal: MonomialIdeal) -> list[str]:
@@ -218,9 +211,8 @@ def cmd_sparse_en(args) -> int:
         return 0
     payload: dict = {"complex": cx.to_json(), "ranks": list(cx.ranks())}
     if args.certify_cw:
-        poset = face_poset(cx)
-        key = lambda label: order.sort_key(poset.mdegs[label])
-        payload["cw_certificate"] = is_cw_poset(poset, p=p, atom_key=key).to_json()
+        key = lambda label: order.sort_key(cx.mdeg(label))
+        payload["cw_certificate"] = is_cw_poset(face_poset(cx), p=p, atom_key=key).to_json()
         payload["is_resolution"] = cx.is_resolution(p)
     _emit_json(payload, manifest, args.output)
     return 0
@@ -277,7 +269,7 @@ def cmd_free_seq(args) -> int:
     _check_size(dual.n, dual.m, args.force)
     order = _load_order(args, dual.n, dual.m)
     cx = sparse_eagon_northcott(order)
-    report = find_free_sequence(cx, _vertex_labels(order, dual.sorted_facets()))
+    report = find_free_sequence(cx, [vertex_label(order, f) for f in dual.sorted_facets()])
     manifest = RunManifest(
         "free-seq", dual.n, dual.m, order.to_json(), p,
         [list(f) for f in dual.sorted_facets()],
@@ -301,7 +293,7 @@ def cmd_polarize(args) -> int:
     if args.summary_csv:
         dual = alexander_dual_complex(delta)
         cx = sparse_eagon_northcott(order)
-        targets = _vertex_labels(order, dual.sorted_facets())
+        targets = [vertex_label(order, f) for f in dual.sorted_facets()]
         free = find_free_sequence(cx, targets).found
         _emit_csv(
             ["n", "m", "r", "linear", "free_seq", "polarization", "power_of_max"],
@@ -319,9 +311,8 @@ def cmd_cw_check(args) -> int:
     order = _load_order(args, args.n, args.m)
     p = _prime(args)
     cx = sparse_eagon_northcott(order)
-    poset = face_poset(cx)
-    key = lambda label: order.sort_key(poset.mdegs[label])
-    cert = is_cw_poset(poset, p=p, atom_key=key)
+    key = lambda label: order.sort_key(cx.mdeg(label))
+    cert = is_cw_poset(face_poset(cx), p=p, atom_key=key)
     manifest = RunManifest("cw-check", args.n, args.m, order.to_json(), p)
     _emit_json(
         {"certificate": cert.to_json(), "ranks": list(cx.ranks())}, manifest, args.output
@@ -355,23 +346,23 @@ def cmd_experiment(args) -> int:
             linear = table.rows_present() <= {0, n - 1}
             if args.random_orders:
                 cx = sparse_eagon_northcott(order)
-            free = find_free_sequence(cx, _vertex_labels(order, dual.sorted_facets())).found
+            targets = [vertex_label(order, f) for f in dual.sorted_facets()]
+            free = find_free_sequence(cx, targets).found
             rows.append([k, n, m, len(dual), int(linear), int(free)])
     elif args.mode == "free-vertex-orders":
         # For the given facets, how often does a random order make them all
         # free vertices of the supporting complex?
         header = ["sample", "n", "m", "targets", "all_free"]
-        targets = [_parse_facet(spec) for spec in args.targets]
+        targets = [_parse_facet(spec, n, m) for spec in args.targets]
         if not targets:
             raise RainbowError("--targets is required for free-vertex-orders")
         for k in range(args.samples):
             order = random_term_order(n, m, rng)
             cx = sparse_eagon_northcott(order)
-            poset = face_poset(cx)
-            free = free_vertices(poset)
+            free = free_vertices(face_poset(cx))
             rows.append(
                 [k, n, m, ";".join(",".join(map(str, t)) for t in targets),
-                 int(all(l in free for l in _vertex_labels(order, targets)))]
+                 int(all(vertex_label(order, t) in free for t in targets))]
             )
     else:
         raise RainbowError(f"unknown experiment mode {args.mode!r}")

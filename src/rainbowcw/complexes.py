@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyTable, GradingViolation, NotMinimal, SizeCap, UnitIdeal
-from .gfp import DEFAULT_PRIME, VectorComplex, check_prime
+from .gfp import DEFAULT_PRIME, VectorComplex, cell_homology, check_prime
 from .ideals import MonomialIdeal
 from .monomials import Monomial, format_monomial, lcm_of, squarefree_lcm_closure
 
@@ -48,7 +48,6 @@ class BasedComplex:
                 self._degree_of[label] = i
 
         out: dict[str, list[tuple[str, int]]] = {l: [] for l in self._mdeg}
-        inc: dict[str, list[tuple[str, int]]] = {l: [] for l in self._mdeg}
         for (src, tgt), sign in diff.items():
             if sign not in (1, -1):
                 raise ValueError(f"sign must be +-1, got {sign}")
@@ -61,10 +60,8 @@ class BasedComplex:
                     f"mdeg({tgt}) = {self._mdeg[tgt]} does not divide mdeg({src}) = {self._mdeg[src]}"
                 )
             out[src].append((tgt, sign))
-            inc[tgt].append((src, sign))
         pos = {l: k for layer in self._basis for k, l in enumerate(layer)}
         self._out = {l: tuple(sorted(v, key=lambda e: pos[e[0]])) for l, v in out.items()}
-        self._in = {l: tuple(sorted(v, key=lambda e: pos[e[0]])) for l, v in inc.items()}
         self._vsupp: dict[str, frozenset] = {}
         self._layer_mdegs = tuple(tuple(self._mdeg[l] for l in layer) for layer in self._basis)
 
@@ -96,9 +93,6 @@ class BasedComplex:
 
     def out_entries(self, label: str) -> tuple[tuple[str, int], ...]:
         return self._out[label]
-
-    def in_entries(self, label: str) -> tuple[tuple[str, int], ...]:
-        return self._in[label]
 
     def support(self, label: str) -> tuple[str, ...]:
         return tuple(t for t, _ in self._out[label])
@@ -408,7 +402,7 @@ def koszul_strand_homology(
     if s == 0:
         return [int(standard[0])]
     pivot = min(range(s), key=lambda k: np.count_nonzero(_cone_indicator(standard, k)))
-    return _cells_homology(_cone_cells(standard, pivot), s, p)
+    return cell_homology(_cone_cells(standard, pivot), s, p)
 
 
 def _standard_subsets(ideal: MonomialIdeal, alpha: Monomial) -> np.ndarray:
@@ -453,32 +447,6 @@ def _cone_cells(standard: np.ndarray, k: int) -> list[int]:
     idx = np.flatnonzero(_cone_indicator(standard, k))
     low = (1 << k) - 1
     return ((idx & ~low) << 1 | 1 << k | idx & low).tolist()
-
-
-def _cells_homology(cells: list[int], s: int, p: int) -> list[int]:
-    """Homology ranks, in degrees 0..s, of the Koszul subcomplex spanned by
-    the given subset masks of an s-element support (closed under the
-    differential), with the signs of the full Koszul complex."""
-    if not cells:
-        return [0] * (s + 1)
-    by_size: list[dict[int, int]] = [dict() for _ in range(s + 1)]
-    for mask in cells:
-        layer = by_size[bin(mask).count("1")]
-        layer[mask] = len(layer)
-    dims = [len(layer) for layer in by_size]
-    diffs: list[dict[tuple[int, int], int]] = [dict() for _ in range(s + 1)]
-    for size in range(1, s + 1):
-        entries = diffs[size]
-        lower = by_size[size - 1]
-        for mask, col in by_size[size].items():
-            sign = 1
-            for k in range(s):
-                if mask >> k & 1:
-                    row = lower.get(mask ^ (1 << k))
-                    if row is not None:
-                        entries[(row, col)] = sign
-                    sign = -sign
-    return VectorComplex(dims, diffs).homology_ranks(p)
 
 
 # Each multidegree alpha of the sweep allocates 2^|supp(alpha)| standard-subset

@@ -15,193 +15,157 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .complexes import BasedComplex
 from .errors import SizeCap
-from .gfp import DEFAULT_PRIME, VectorComplex
-from .monomials import Monomial, format_monomial
+from .gfp import DEFAULT_PRIME, cell_homology
+from .monomials import format_monomial
 
-BOTTOM = "0"
 # The most atoms a closed lower interval may have for its atom orderings to
 # be checked; a larger interval is refused with SizeCap before any work.
 MAX_ATOMS = 12
 
 
-@dataclass
-class FacePoset:
-    bottom: str
-    ranks: dict[str, int]
-    mdegs: dict[str, Monomial]
-    covers_down: dict[str, tuple[str, ...]]
-    covers_up: dict[str, tuple[str, ...]]
-    signs: dict[tuple[str, str], int]  # (lower, upper) -> incidence sign
-    _down: dict[str, frozenset] = field(default_factory=dict, repr=False)
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    @property
-    def elements(self) -> list[str]:
-        return sorted(self.ranks, key=lambda x: (self.ranks[x], x))
+
+class FacePoset:
+    """The face poset of a based complex, as a view of the complex.
+
+    Element k is the k-th label of the complex's basis order, so every
+    cover goes from a lower to a higher index, and the least element (the
+    one degree-0 label) is element 0.  The order is kept as four lists of
+    int masks over the indices: the covers below and above each element,
+    and its closed down and up sets.  Ranks, multidegrees and incidence
+    signs are read from the complex itself.
+    """
+
+    def __init__(self, cx: BasedComplex):
+        zero = cx.labels(0)
+        if len(zero) != 1:
+            raise ValueError("face poset needs a unique degree-0 element")
+        self.cx = cx
+        self.bottom = zero[0]
+        self.elements = cx.all_labels()
+        self.index = {x: k for k, x in enumerate(self.elements)}
+        size = len(self.elements)
+        self.lower = [0] * size
+        self.upper = [0] * size
+        for k, x in enumerate(self.elements):
+            for tgt, _ in cx.out_entries(x):
+                t = self.index[tgt]
+                self.lower[k] |= 1 << t
+                self.upper[t] |= 1 << k
+        self.down = [0] * size
+        for k in range(size):
+            acc = 1 << k
+            for t in _bits(self.lower[k]):
+                acc |= self.down[t]
+            self.down[k] = acc
+        self.up = [0] * size
+        for k in reversed(range(size)):
+            acc = 1 << k
+            for t in _bits(self.upper[k]):
+                acc |= self.up[t]
+            self.up[k] = acc
 
     def __len__(self) -> int:
-        return len(self.ranks)
+        return len(self.elements)
 
     def rank(self, x: str) -> int:
-        return self.ranks[x]
+        return self.cx.degree_of(x)
 
-    def down_set(self, x: str) -> frozenset:
-        """All elements <= x."""
-        cached = self._down.get(x)
-        if cached is not None:
-            return cached
-        acc: set[str] = {x}
-        for y in self.covers_down[x]:
-            acc |= self.down_set(y)
-        out = frozenset(acc)
-        self._down[x] = out
-        return out
+    def labels_of(self, mask: int) -> list[str]:
+        """The elements of an index mask, sorted by label."""
+        return sorted(self.elements[k] for k in _bits(mask))
 
     def le(self, x: str, y: str) -> bool:
-        return x in self.down_set(y)
+        return bool(self.down[self.index[y]] >> self.index[x] & 1)
 
-    def open_interval(self, x: str, y: str) -> list[str]:
-        below_y = self.down_set(y)
-        return sorted(
-            (z for z in below_y if z != y and z != x and x in self.down_set(z)),
-            key=lambda z: (self.ranks[z], z),
-        )
-
-    def closed_interval(self, x: str, y: str) -> list[str]:
-        if not self.le(x, y):
-            return []
-        return sorted(
-            set(self.open_interval(x, y)) | {x, y}, key=lambda z: (self.ranks[z], z)
-        )
+    def interval(self, x: str, y: str) -> int:
+        """The closed interval [x, y] as an index mask (0 unless x <= y)."""
+        return self.up[self.index[x]] & self.down[self.index[y]]
 
     def atoms(self, x: str, y: str) -> list[str]:
-        """Elements covering x that lie below y."""
-        return [z for z in self.covers_up[x] if self.le(z, y)]
+        """Elements covering x that lie below y, sorted by label."""
+        return self.labels_of(self.upper[self.index[x]] & self.down[self.index[y]])
 
     def vertices(self) -> list[str]:
-        return [x for x, r in self.ranks.items() if r == 1]
-
-    def maximal_elements(self) -> list[str]:
-        return sorted(x for x, ups in self.covers_up.items() if not ups)
+        return list(self.cx.labels(1))
 
     def facets_containing(self, x: str) -> list[str]:
-        return [f for f in self.maximal_elements() if self.le(x, f)]
+        """The maximal elements above x, sorted by label; none when x is not
+        an element, such as a vertex already deleted."""
+        if x not in self.index:
+            return []
+        return self.labels_of(
+            sum(1 << k for k in _bits(self.up[self.index[x]]) if not self.upper[k])
+        )
 
 
 def face_poset(cx: BasedComplex) -> FacePoset:
-    """Build the face poset of a based complex.  The unique degree-0 element
-    is the least element; if the complex has no degree-0 piece, a formal
-    bottom is added below all degree-1 elements with incidence sign +1."""
-    ranks: dict[str, int] = {}
-    mdegs: dict[str, Monomial] = {}
-    covers_down: dict[str, list[str]] = {}
-    signs: dict[tuple[str, str], int] = {}
-
-    zero = cx.labels(0)
-    if len(zero) == 1:
-        bottom = zero[0]
-        shift = 0
-    elif len(zero) == 0:
-        bottom = BOTTOM
-        shift = 1
-    else:
-        raise ValueError("face poset needs a unique degree-0 element")
-    ranks[bottom] = 0
-    mdegs[bottom] = Monomial.one()
-    covers_down[bottom] = []
-
-    for i in cx.degrees():
-        if i == 0:
-            continue
-        for label in cx.labels(i):
-            ranks[label] = i + shift
-            mdegs[label] = cx.mdeg(label)
-            lowers = []
-            for tgt, sign in cx.out_entries(label):
-                lowers.append(tgt)
-                signs[(tgt, label)] = sign
-            if i == 1 and shift == 1:
-                lowers = [bottom]
-                signs[(bottom, label)] = 1
-            covers_down[label] = lowers
-
-    covers_up: dict[str, list[str]] = {x: [] for x in ranks}
-    for upper, lowers in covers_down.items():
-        for lower in lowers:
-            covers_up[lower].append(upper)
-    return FacePoset(
-        bottom=bottom,
-        ranks=ranks,
-        mdegs=mdegs,
-        covers_down={k: tuple(v) for k, v in covers_down.items()},
-        covers_up={k: tuple(sorted(v)) for k, v in covers_up.items()},
-        signs=signs,
-    )
+    """The face poset of a based complex: one element per basis label, ordered
+    by membership in differential supports and extended transitively, with
+    the unique degree-0 element as least element.  Raises ValueError unless
+    the complex has exactly one degree-0 element."""
+    return FacePoset(cx)
 
 
 def is_thin(poset: FacePoset) -> bool:
     """Every closed interval of length two has exactly four elements."""
-    for y in poset.ranks:
-        mids = poset.covers_down[y]
-        grands = {x for z in mids for x in poset.covers_down[z]}
-        for x in grands:
-            middles = sum(1 for z in mids if x in poset.covers_down[z])
-            if middles != 2:
+    lower, upper = poset.lower, poset.upper
+    for mids in lower:
+        grands = 0
+        for z in _bits(mids):
+            grands |= lower[z]
+        for x in _bits(grands):
+            if (mids & upper[x]).bit_count() != 2:
                 return False
     return True
 
 
-def _chains(elements: Sequence[str], le: Callable[[str, str], bool]) -> list[tuple[str, ...]]:
-    """All nonempty chains of the induced subposet, as tuples sorted by rank."""
-    out: list[tuple[str, ...]] = []
-
-    def extend(chain: tuple[str, ...], rest: Sequence[str]) -> None:
-        for k, z in enumerate(rest):
-            new = chain + (z,)
-            out.append(new)
-            extend(new, [w for w in rest[k + 1 :] if le(z, w)])
-
-    extend((), list(elements))
-    return out
-
-
 def order_complex_reduced_homology(
-    elements: Sequence[str], le: Callable[[str, str], bool], p: int = DEFAULT_PRIME
+    elements: int, up: Sequence[int], p: int = DEFAULT_PRIME
 ) -> dict[int, int]:
     """Reduced simplicial homology ranks of the order complex of a finite
-    poset (given by its elements and order relation), over GF(p).  The empty
-    complex reports the (-1)-sphere convention: rank 1 in degree -1."""
-    chains = _chains(elements, le)
-    by_dim: dict[int, dict[tuple[str, ...], int]] = {-1: {(): 0}}
-    for c in chains:
-        layer = by_dim.setdefault(len(c) - 1, {})
-        layer[c] = len(layer)
-    top = max(by_dim)
-    dims = [len(by_dim.get(d, {})) for d in range(-1, top + 1)]
-    diffs: list[dict[tuple[int, int], int]] = [dict() for _ in dims]
-    for d in range(0, top + 1):
-        entries: dict[tuple[int, int], int] = {}
-        lower = by_dim.get(d - 1, {})
-        for c, col in by_dim.get(d, {}).items():
-            for k in range(len(c)):
-                face = c[:k] + c[k + 1 :]
-                row = lower.get(face)
-                if row is not None:
-                    entries[(row, col)] = (-1) ** k
-        diffs[d + 1] = entries
-    hom = VectorComplex(dims, diffs).homology_ranks(p)
-    return {d - 1: hom[d] for d in range(len(hom)) if hom[d]}
+    poset, over GF(p).  The poset is the index mask ``elements`` of a larger
+    one whose order is given by the closed up sets ``up``, with indices
+    numbered along a linear extension.  The empty complex reports the
+    (-1)-sphere convention: rank 1 in degree -1.
+
+    Each chain is stored as the mask of its elements, so its bits run in
+    chain order, and sits in cell degree equal to its size: the empty chain
+    is the (-1)-cell.
+    """
+    chains = [0]
+
+    # Chains are listed in depth-first preorder.  The rank elimination's
+    # fill-in follows the order of rows and columns, and a stack order made
+    # the ranks of cw-check at 2x7 twice as slow.
+    def extend(chain: int, above: int) -> None:
+        for z in _bits(above):
+            longer = chain | 1 << z
+            chains.append(longer)
+            extend(longer, up[z] & above & ~(1 << z))
+
+    extend(0, elements)
+    top = max(c.bit_count() for c in chains)
+    hom = cell_homology(chains, top, p)
+    return {d - 1: h for d, h in enumerate(hom) if h}
 
 
 def open_interval_homology(
     poset: FacePoset, x: str, y: str, p: int = DEFAULT_PRIME
 ) -> dict[int, int]:
     """Reduced homology of the order complex of the open interval (x, y)."""
-    elements = poset.open_interval(x, y)
-    return order_complex_reduced_homology(elements, poset.le, p)
+    ends = 1 << poset.index[x] | 1 << poset.index[y]
+    return order_complex_reduced_homology(poset.interval(x, y) & ~ends, poset.up, p)
 
 
 def _is_sphere(hom: dict[int, int], dim: int) -> bool:
@@ -222,63 +186,67 @@ def recursive_atom_ordering_check(
 
     Upper intervals are ordered by the induced rule: atoms lying above an
     earlier sibling first, then the rest, both sorted by ``atom_key``
-    (default: the multidegree).  The ``scramble`` hook, applied to each
-    induced ordering, exists so tests can violate the first-block rule; the
-    check verifies the first-block prefix property of whatever ordering is
-    actually used.
+    (default: the multidegree), ties broken by label.  The ``scramble``
+    hook, applied to each induced ordering, exists so tests can violate the
+    first-block rule; the check verifies the first-block prefix property of
+    whatever ordering is actually used.
     """
+    cx, labels, index = poset.cx, poset.elements, poset.index
+    upper, down, up = poset.upper, poset.down, poset.up
     if atom_key is None:
-        atom_key = lambda label: poset.mdegs[label].sort_key()
+        atom_key = lambda label: cx.mdeg(label).sort_key()
 
-    def check(bottom: str, top: str, ordering: list[str], depth: int) -> bool:
-        if poset.rank(top) - poset.rank(bottom) <= 1:
+    def ordered(mask: int) -> list[int]:
+        return sorted(_bits(mask), key=lambda k: (atom_key(labels[k]), labels[k]))
+
+    def rank(k: int) -> int:
+        return cx.degree_of(labels[k])
+
+    def check(bottom: int, top: int, ordering: list[int], depth: int) -> bool:
+        if rank(top) - rank(bottom) <= 1:
             return True
         if depth > max_depth:
             raise SizeCap(f"recursive atom ordering deeper than {max_depth}")
         if len(ordering) > max_atoms:
             raise SizeCap(f"interval with more than {max_atoms} atoms")
-        interval = poset.closed_interval(bottom, top)
+        # above[j]: the elements above one of the first j atoms.
+        above = [0]
+        for a in ordering:
+            above.append(above[-1] | up[a])
         # (ii) for i < j and y >= a_i, a_j there must be k < j and a cover z
         #      of a_j with z <= y and a_k <= z.
         for j, aj in enumerate(ordering):
-            earlier = ordering[:j]
-            covers_aj = [z for z in poset.covers_up[aj] if poset.le(z, top)]
-            for ai in earlier:
-                for y in interval:
-                    if not (poset.le(ai, y) and poset.le(aj, y)):
-                        continue
-                    if not any(
-                        poset.le(z, y) and any(poset.le(ak, z) for ak in earlier)
-                        for z in covers_aj
-                    ):
-                        return False
+            witnesses = upper[aj] & above[j]
+            for y in _bits(up[aj] & above[j] & down[top]):
+                if not down[y] & witnesses:
+                    return False
         # (i) recurse into [a_j, top] with the induced ordering.
         for j, aj in enumerate(ordering):
-            if poset.rank(top) - poset.rank(aj) <= 1:
+            if rank(top) - rank(aj) <= 1:
                 continue
-            earlier = ordering[:j]
-            sub_atoms = poset.atoms(aj, top)
-            first = [z for z in sub_atoms if any(poset.le(ai, z) for ai in earlier)]
-            rest = [z for z in sub_atoms if z not in first]
-            induced = sorted(first, key=atom_key) + sorted(rest, key=atom_key)
+            sub_atoms = upper[aj] & down[top]
+            first = sub_atoms & above[j]
+            induced = ordered(first) + ordered(sub_atoms & ~first)
             if scramble is not None:
-                induced = scramble(aj, list(induced))
-            first_set = set(first)
-            flags = [z in first_set for z in induced]
-            if any(flags[k] and not all(flags[: k + 1]) for k in range(len(flags))):
+                induced = [
+                    index[z] for z in scramble(labels[aj], [labels[z] for z in induced])
+                ]
+            flags = [first >> z & 1 for z in induced]
+            if flags != sorted(flags, reverse=True):
                 return False  # first-block atoms are not a prefix
             if not check(aj, top, induced, depth + 1):
                 return False
         return True
 
-    top_atoms = poset.atoms(poset.bottom, x)
+    bottom, top = index[poset.bottom], index[x]
+    top_atoms = upper[bottom] & down[top]
     if atom_order is None:
-        ordering = sorted(top_atoms, key=atom_key)
+        ordering = ordered(top_atoms)
     else:
-        ordering = list(atom_order)
-        if sorted(ordering) != sorted(top_atoms):
+        if sorted(atom_order) != poset.labels_of(top_atoms):
             raise ValueError("atom_order must enumerate the atoms of the interval")
-    return check(poset.bottom, x, ordering, 1)
+        ordering = [index[a] for a in atom_order]
+    return check(bottom, top, ordering, 1)
 
 
 @dataclass
@@ -324,16 +292,15 @@ def is_cw_poset(
     Raises SizeCap before any other work when a closed lower interval has
     more than MAX_ATOMS atoms, since its atom orderings would not be checked.
     """
-    for x in poset.ranks:
-        atoms = len(poset.atoms(poset.bottom, x))
+    upper, down = poset.upper, poset.down
+    for k, x in enumerate(poset.elements):
+        atoms = (upper[0] & down[k]).bit_count()
         if atoms > MAX_ATOMS:
             raise SizeCap(
                 f"interval with more than {MAX_ATOMS} atoms: [bottom, {x}] has {atoms}"
             )
     failures: list[str] = []
-    has_least = poset.bottom in poset.ranks and all(
-        poset.le(poset.bottom, x) for x in poset.ranks
-    )
+    has_least = poset.up[0] == (1 << len(poset)) - 1
     if not has_least:
         failures.append("least element")
     nontrivial = len(poset) > 1
@@ -345,17 +312,13 @@ def is_cw_poset(
 
     spheres = True
     orderings = True
-    for x in poset.ranks:
-        if x == poset.bottom:
-            continue
+    for x in poset.elements[1:]:
         hom = open_interval_homology(poset, poset.bottom, x, p)
         if not _is_sphere(hom, poset.rank(x) - 2):
             spheres = False
             failures.append(f"sphere homology of (bottom, {x})")
             break
-    for x in poset.ranks:
-        if x == poset.bottom:
-            continue
+    for x in poset.elements[1:]:
         if not recursive_atom_ordering_check(poset, x, atom_key=atom_key):
             orderings = False
             failures.append(f"recursive atom ordering of [bottom, {x}]")
@@ -366,46 +329,42 @@ def is_cw_poset(
 def upper_semimodularity_check(poset: FacePoset, mu: str, nu: str) -> bool:
     """Every pair of interval elements covering a common interval element is
     covered by a common interval element."""
-    interval = set(poset.closed_interval(mu, nu))
-    for x in interval:
-        ups = [u for u in poset.covers_up[x] if u in interval]
-        for a in range(len(ups)):
-            for b in range(a + 1, len(ups)):
-                u, v = ups[a], ups[b]
-                if not any(
-                    z in interval and v in poset.covers_down[z]
-                    for z in poset.covers_up[u]
-                ):
+    upper = poset.upper
+    interval = poset.interval(mu, nu)
+    for x in _bits(interval):
+        ups = list(_bits(upper[x] & interval))
+        for a, u in enumerate(ups):
+            for v in ups[a + 1 :]:
+                if not upper[u] & upper[v] & interval:
                     return False
     return True
 
 
 def export_poset(poset: FacePoset, fmt: str = "JSON") -> str:
-    """Serialize as DOT (covers as edges, bottom at the bottom) or JSON."""
+    """Serialize as DOT (covers as edges, bottom at the bottom) or JSON.
+    Nodes come in (rank, label) order and covers sorted by their ends."""
+    cx = poset.cx
+    nodes = sorted(poset.elements, key=lambda x: (cx.degree_of(x), x))
+    covers = sorted(
+        (lo, hi, sign) for hi in poset.elements for lo, sign in cx.out_entries(hi)
+    )
     if fmt.upper() == "JSON":
         return json.dumps(
             {
                 "nodes": [
-                    {
-                        "id": x,
-                        "rank": poset.ranks[x],
-                        "mdeg": format_monomial(poset.mdegs[x]),
-                    }
-                    for x in poset.elements
+                    {"id": x, "rank": cx.degree_of(x), "mdeg": format_monomial(cx.mdeg(x))}
+                    for x in nodes
                 ],
-                "covers": [
-                    {"lo": lo, "hi": hi, "sign": sign}
-                    for (lo, hi), sign in sorted(poset.signs.items())
-                ],
+                "covers": [{"lo": lo, "hi": hi, "sign": sign} for lo, hi, sign in covers],
             },
             indent=2,
             sort_keys=True,
         )
     if fmt.upper() == "DOT":
         lines = ["digraph face_poset {", "  rankdir=BT;"]
-        for x in poset.elements:
-            lines.append(f'  "{x}" [label="{x}\\nrank {poset.ranks[x]}"];')
-        for (lo, hi), sign in sorted(poset.signs.items()):
+        for x in nodes:
+            lines.append(f'  "{x}" [label="{x}\\nrank {cx.degree_of(x)}"];')
+        for lo, hi, sign in covers:
             style = "" if sign > 0 else " [style=dashed]"
             lines.append(f'  "{lo}" -> "{hi}"{style};')
         lines.append("}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt
+from typing import Iterable
 
 DEFAULT_PRIME = 32003
 # Every modulus must be a prime below this bound.  The arithmetic is on
@@ -118,3 +119,35 @@ class VectorComplex:
         """dim H_i for i = 0..top."""
         ranks = [self.rank(i, p) for i in range(self.top + 2)]
         return [self.dims[i] - ranks[i] - ranks[i + 1] for i in range(self.top + 1)]
+
+
+def cell_homology(cells: Iterable[int], top: int, p: int) -> list[int]:
+    """Homology ranks, in degrees 0..top, of the complex spanned by subset
+    cells with the simplicial signs.
+
+    A cell is a subset of at most ``top`` elements, given as an int mask,
+    and sits in degree equal to its size.  Its boundary drops one element at
+    a time, with sign (-1)^k for the k-th lowest set bit, and a face that is
+    not a cell counts as zero; the cells must span a complex under that
+    rule.  The cone cells of a Koszul strand and the chains of an order
+    complex, with the empty chain as the (-1)-cell, both do.
+    """
+    by_size: list[dict[int, int]] = [dict() for _ in range(top + 1)]
+    for mask in cells:
+        layer = by_size[mask.bit_count()]
+        layer[mask] = len(layer)
+    diffs: list[dict[tuple[int, int], int]] = [dict() for _ in range(top + 1)]
+    for size in range(1, top + 1):
+        entries = diffs[size]
+        lower = by_size[size - 1]
+        for mask, col in by_size[size].items():
+            sign = 1
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                row = lower.get(mask ^ low)
+                if row is not None:
+                    entries[(row, col)] = sign
+                sign = -sign
+    return VectorComplex([len(layer) for layer in by_size], diffs).homology_ranks(p)

@@ -77,14 +77,11 @@ def find_free_sequence(cx: BasedComplex, targets) -> FreeSequenceReport:
     the remaining vertices).  Exhaustive failure is a definitive NONE."""
     targets = tuple(sorted(targets))
 
-    def facet_count(complex_: BasedComplex, vertex: str) -> int:
-        poset = face_poset(complex_)
-        return len(poset.facets_containing(vertex))
-
     def search(complex_: BasedComplex, remaining: tuple[str, ...]):
         if not remaining:
             return []
-        counts = {v: facet_count(complex_, v) for v in remaining}
+        poset = face_poset(complex_)
+        counts = {v: len(poset.facets_containing(v)) for v in remaining}
         # most constrained first: free vertices whose deletion is forced
         candidates = sorted(
             (v for v in remaining if counts[v] == 1), key=lambda v: (counts[v], v)

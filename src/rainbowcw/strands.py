@@ -33,9 +33,6 @@ class VertexContext:
     neighbors: tuple[str, ...]  # sorted ascending by the induced order
     labels: dict[str, Monomial]  # neighbor -> variable m_{v,v'} / m_v
 
-    def label_variables(self) -> list[Monomial]:
-        return [self.labels[w] for w in self.neighbors]
-
 
 def _edge_support(cx: BasedComplex, edge: str) -> tuple[str, ...]:
     return tuple(t for t, _ in cx.out_entries(edge))
@@ -268,7 +265,11 @@ def rainbow_linear_strand(
     of delta."""
     if cx is None:
         cx = sparse_eagon_northcott(order)
-    vertices = {
-        format_monomial(initial_minor(order, facet)) for facet in delta.facets
-    }
+    vertices = {vertex_label(order, facet) for facet in delta.facets}
     return induced_subcomplex(cx, vertices)
+
+
+def vertex_label(order: TermOrder, facet) -> str:
+    """The sparse Eagon-Northcott vertex label of a facet: its initial minor,
+    formatted."""
+    return format_monomial(initial_minor(order, facet))

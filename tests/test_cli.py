@@ -253,6 +253,16 @@ def test_malformed_targets_is_a_parse_error(capsys):
     _assert_one_error_line(capsys, "ParseError")
 
 
+# "1,2,3" once exited 1 with a ValueError traceback, "1,9" with an IndexError,
+# and "0,1" exited 0 with column 0 read as column 4.
+@pytest.mark.parametrize("facet", ["1,2,3", "1,9", "0,1", "1,1,2"])
+def test_targets_outside_the_matrix_are_parse_errors(capsys, facet):
+    argv = ["experiment", "-n", "2", "-m", "4", "--mode", "free-vertex-orders",
+            "--samples", "2", "--targets", facet]
+    assert run(argv) == 2
+    _assert_one_error_line(capsys, "ParseError")
+
+
 # Exit 0 with "regular_sequence_verified": true once, though no degree
 # (or only degree 0, where 1 = 1) was checked.
 @pytest.mark.parametrize("bound", ["-1", "0"])

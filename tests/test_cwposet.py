@@ -19,7 +19,7 @@ from rainbowcw import (
     taylor_complex,
     upper_semimodularity_check,
 )
-from rainbowcw.cwposet import FacePoset
+from rainbowcw.complexes import BasedComplex
 from rainbowcw.errors import SizeCap
 
 
@@ -27,39 +27,38 @@ def boolean_poset(v):
     return face_poset(koszul_complex([(1, j) for j in range(1, v + 1)]))
 
 
+def hand_made_poset(layers, covers):
+    """The face poset of a based complex with the given labels per degree,
+    multidegree 1 everywhere, and a +1 differential entry per (lower, upper)
+    cover.  The complex need not square to zero."""
+    one = Monomial.one()
+    basis = [[(label, one) for label in layer] for layer in layers]
+    return face_poset(BasedComplex(basis, {(hi, lo): 1 for lo, hi in covers}))
+
+
 def chain_poset(length):
-    """A chain 0 < c1 < ... < c_length, built directly (no complex has it)."""
-    labels = ["c0"] + [f"c{k}" for k in range(1, length + 1)]
-    ranks = {l: k for k, l in enumerate(labels)}
-    covers_down = {l: [] for l in labels}
-    covers_up = {l: [] for l in labels}
-    signs = {}
-    for lo, hi in zip(labels, labels[1:]):
-        covers_down[hi].append(lo)
-        covers_up[lo].append(hi)
-        signs[(lo, hi)] = 1
-    return FacePoset(
-        bottom="c0",
-        ranks=ranks,
-        mdegs={l: Monomial.one() for l in labels},
-        covers_down={k: tuple(v) for k, v in covers_down.items()},
-        covers_up={k: tuple(v) for k, v in covers_up.items()},
-        signs=signs,
-    )
+    """A chain c0 < c1 < ... < c_length."""
+    labels = [f"c{k}" for k in range(length + 1)]
+    return hand_made_poset([[l] for l in labels], zip(labels, labels[1:]))
+
+
+def ranked(P):
+    """(element, rank) pairs in basis order."""
+    return [(x, P.rank(x)) for x in P.elements]
 
 
 def test_face_poset_boolean():
     P = boolean_poset(3)
     for r, count in enumerate([1, 3, 3, 1]):
-        assert sum(1 for x in P.ranks.values() if x == r) == count
+        assert sum(1 for _, rank in ranked(P) if rank == r) == count
     # covers realize subset inclusion: rank-k elements cover k elements
-    for x, r in P.ranks.items():
-        assert len(P.covers_down[x]) == (r if r else 0)
+    for k, (_, r) in enumerate(ranked(P)):
+        assert P.lower[k].bit_count() == r
 
 
 def test_face_poset_sparse_en_sizes(order24_left):
     P = face_poset(sparse_eagon_northcott(order24_left))
-    sizes = [sum(1 for r in P.ranks.values() if r == k) for k in range(4)]
+    sizes = [sum(1 for _, r in ranked(P) if r == k) for k in range(4)]
     assert sizes == [1, 6, 8, 3]
 
 
@@ -81,30 +80,28 @@ def test_open_interval_homology():
     edge = "x[1,1] * x[1,2] * x[2,3]"
     assert open_interval_homology(P, P.bottom, edge) == {0: 1}
     B = boolean_poset(3)
-    top = next(x for x, r in B.ranks.items() if r == 3)
+    top = next(x for x, r in ranked(B) if r == 3)
     assert open_interval_homology(B, B.bottom, top) == {1: 1}
-    vertex = next(x for x, r in P.ranks.items() if r == 1)
+    vertex = next(x for x, r in ranked(P) if r == 1)
     assert open_interval_homology(P, P.bottom, vertex) == {-1: 1}
 
 
 def test_open_interval_spheres_sparse_en(order35):
     P = face_poset(sparse_eagon_northcott(order35))
-    for x, r in P.ranks.items():
-        if x == P.bottom:
-            continue
+    for x, r in ranked(P)[1:]:
         assert open_interval_homology(P, P.bottom, x) == {r - 2: 1}
 
 
 def test_recursive_atom_ordering():
     o = diagonal_order(3, 5)
     P = face_poset(sparse_eagon_northcott(o))
-    key = lambda l: o.sort_key(P.mdegs[l])
-    for x, r in P.ranks.items():
+    key = lambda l: o.sort_key(P.cx.mdeg(l))
+    for x, r in ranked(P):
         if r >= 2:
             assert recursive_atom_ordering_check(P, x, atom_key=key)
 
     B = boolean_poset(3)
-    top = next(x for x, r in B.ranks.items() if r == 3)
+    top = next(x for x, r in ranked(B) if r == 3)
     atoms = B.atoms(B.bottom, top)
     for perm in permutations(atoms):
         assert recursive_atom_ordering_check(B, top, atom_order=list(perm))
@@ -112,8 +109,8 @@ def test_recursive_atom_ordering():
 
 def test_recursive_atom_ordering_scrambled_fails(order35):
     P = face_poset(sparse_eagon_northcott(order35))
-    key = lambda l: order35.sort_key(P.mdegs[l])
-    tops = [x for x, r in P.ranks.items() if r == 3]
+    key = lambda l: order35.sort_key(P.cx.mdeg(l))
+    tops = [x for x, r in ranked(P) if r == 3]
     # violating the first-block rule somewhere in the recursion must be caught
     def scramble(bottom, ordering):
         return list(reversed(ordering)) if len(ordering) > 1 else ordering
@@ -127,7 +124,7 @@ def test_recursive_atom_ordering_scrambled_fails(order35):
 
 def test_atom_ordering_size_cap():
     B = boolean_poset(4)
-    top = next(x for x, r in B.ranks.items() if r == 4)
+    top = next(x for x, r in ranked(B) if r == 4)
     with pytest.raises(SizeCap):
         recursive_atom_ordering_check(B, top, max_atoms=2)
 
@@ -136,13 +133,8 @@ def test_is_cw_poset_refuses_too_many_atoms_up_front(monkeypatch):
     # bottom < 13 atoms < one top: not thin, so not a CW poset, but the atom
     # count is checked first and the answer is SizeCap, not verdict false.
     atoms = [f"a{k}" for k in range(13)]
-    P = FacePoset(
-        bottom="0",
-        ranks={"0": 0, **{a: 1 for a in atoms}, "t": 2},
-        mdegs={x: Monomial.one() for x in ["0", *atoms, "t"]},
-        covers_down={"0": (), **{a: ("0",) for a in atoms}, "t": tuple(atoms)},
-        covers_up={"0": tuple(atoms), **{a: ("t",) for a in atoms}, "t": ()},
-        signs={},
+    P = hand_made_poset(
+        [["0"], atoms, ["t"]], [("0", a) for a in atoms] + [(a, "t") for a in atoms]
     )
     monkeypatch.setattr("rainbowcw.cwposet.is_thin", lambda _: pytest.fail("ran thinness"))
     with pytest.raises(SizeCap, match="more than 12 atoms: \\[bottom, t\\] has 13"):
@@ -152,7 +144,7 @@ def test_is_cw_poset_refuses_too_many_atoms_up_front(monkeypatch):
 def test_is_cw_poset(order35):
     o = order35
     P = face_poset(sparse_eagon_northcott(o))
-    key = lambda l: o.sort_key(P.mdegs[l])
+    key = lambda l: o.sort_key(P.cx.mdeg(l))
     cert = is_cw_poset(P, atom_key=key)
     assert cert.verdict and not cert.failures
     assert is_cw_poset(boolean_poset(3)).verdict
@@ -163,29 +155,26 @@ def test_is_cw_poset(order35):
 
 
 def test_incidence_sign_axiom(order24_left):
-    P = face_poset(sparse_eagon_northcott(order24_left))
-    for y in P.ranks:
-        mids = P.covers_down[y]
-        grands = {x for z in mids for x in P.covers_down[z]}
+    cx = sparse_eagon_northcott(order24_left)
+    sign = {(lo, hi): s for hi in cx.all_labels() for lo, s in cx.out_entries(hi)}
+    for y in cx.all_labels():
+        mids = [z for z, _ in cx.out_entries(y)]
+        grands = {x for z in mids for x, _ in cx.out_entries(z)}
         for x in grands:
-            middles = [z for z in mids if x in P.covers_down[z]]
+            middles = [z for z in mids if (x, z) in sign]
             assert len(middles) == 2
             a, b = middles
-            assert (
-                P.signs[(a, y)] * P.signs[(x, a)]
-                + P.signs[(b, y)] * P.signs[(x, b)]
-                == 0
-            )
+            assert sign[(a, y)] * sign[(x, a)] + sign[(b, y)] * sign[(x, b)] == 0
 
 
 def test_upper_semimodularity(order24_left):
     B = boolean_poset(3)
-    bottoms = [x for x, r in B.ranks.items() if r == 1]
-    top = next(x for x, r in B.ranks.items() if r == 3)
+    bottoms = [x for x, r in ranked(B) if r == 1]
+    top = next(x for x, r in ranked(B) if r == 3)
     assert upper_semimodularity_check(B, bottoms[0], top)
 
     P = face_poset(sparse_eagon_northcott(diagonal_order(2, 4)))
-    els = [x for x in P.ranks if P.ranks[x] >= 1]
+    els = [x for x, r in ranked(P) if r >= 1]
     for mu in els:
         for nu in els:
             if P.le(mu, nu):
@@ -193,7 +182,7 @@ def test_upper_semimodularity(order24_left):
 
     # intervals from the bottom are not claimed; record the outcome only
     P23 = face_poset(sparse_eagon_northcott(diagonal_order(2, 3)))
-    tops = [x for x, r in P23.ranks.items() if r == 2]
+    tops = [x for x, r in ranked(P23) if r == 2]
     outcomes = {upper_semimodularity_check(P23, P23.bottom, nu) for nu in tops}
     assert outcomes <= {True, False}
 
@@ -203,7 +192,7 @@ def test_certificates_stable_across_primes():
     for n, m in [(2, 4), (3, 5)]:
         order = random_term_order(n, m, rng)
         P = face_poset(sparse_eagon_northcott(order))
-        key = lambda l: order.sort_key(P.mdegs[l])
+        key = lambda l: order.sort_key(P.cx.mdeg(l))
         assert is_cw_poset(P, p=32003, atom_key=key).verdict
         assert is_cw_poset(P, p=2, atom_key=key).verdict
 

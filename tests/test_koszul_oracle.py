@@ -22,7 +22,6 @@ from rainbowcw import (
 )
 from rainbowcw.complexes import (
     MAX_SUPPORT,
-    _cells_homology,
     _cone_cells,
     _standard_subsets,
     koszul_betti,
@@ -30,7 +29,7 @@ from rainbowcw.complexes import (
     lcm_closure,
 )
 from rainbowcw.errors import SizeCap, UnitIdeal
-from rainbowcw.gfp import matrix_rank
+from rainbowcw.gfp import cell_homology, matrix_rank
 from rainbowcw.monomials import Monomial
 
 PRIMES = (2, 32003)
@@ -119,7 +118,7 @@ def test_every_pivot_gives_the_reference_homology(gens, alpha, p):
     standard = _standard_subsets(ideal, alpha)
     s = len(alpha.support)
     for k in range(s):
-        assert _cells_homology(_cone_cells(standard, k), s, p) == expected
+        assert cell_homology(_cone_cells(standard, k), s, p) == expected
 
 
 def test_oracle_refuses_the_unit_ideal_and_a_support_past_the_cap():

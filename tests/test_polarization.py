@@ -237,3 +237,5 @@ def test_every_order_free_sequence_when_linear(order35, dual35, delta35):
     assert linearity_criterion(delta35, order35)
     for perm in permutations(targets):
         assert replay_free_sequence(cx, perm)
+    # a vertex already deleted lies in no facet, so replaying it again fails
+    assert not replay_free_sequence(cx, targets + targets[:1])
