@@ -16,6 +16,7 @@ import random
 import sys
 import tempfile
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 from . import __version__
@@ -138,7 +139,7 @@ def _load_order(args, n: int, m: int) -> TermOrder:
         with open(args.order_file) as handle:
             try:
                 order = TermOrder.from_json(json.load(handle))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            except ValueError as exc:  # a JSONDecodeError is a ValueError too
                 raise ParseError(f"bad term-order file: {exc}") from exc
         if (order.n, order.m) != (n, m):
             raise RainbowError(f"order file is {order.n}x{order.m}, expected {n}x{m}")
@@ -373,7 +374,10 @@ def cmd_experiment(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and every call of :func:`main` gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="rainbowcw",
         description="Sparse Eagon-Northcott complexes, CW certificates, rainbow "

@@ -4,7 +4,7 @@ A :class:`BasedComplex` keeps, per homological degree, an ordered list of
 labeled basis elements with monomial multidegrees, and a sparse differential
 whose entries carry only a sign: the monomial coefficient of an entry is
 forced by the grading to be mdeg(source)/mdeg(target), and divisibility is
-validated at construction.
+validated at construction (a restriction inherits it from its parent).
 
 Homology is always computed multidegree by multidegree: the strand of the
 complex at a monomial alpha retains the basis elements whose multidegree
@@ -196,20 +196,28 @@ class BasedComplex:
     # -- restriction ----------------------------------------------------------
 
     def restrict(self, keep: Iterable[str]) -> "BasedComplex":
+        """The subcomplex on the kept labels (labels not in this complex are
+        ignored), with empty top layers dropped.
+
+        Every entry between kept labels is an entry of this valid complex,
+        so the subcomplex is built directly: layers and adjacency lists are
+        filtered in their existing order, without ``__init__``'s checks.
+        Vertex supports are not copied, since a kept face can lose a vertex."""
         keep_set = set(keep)
-        basis = [
-            [(l, self._mdeg[l]) for l in layer if l in keep_set] for layer in self._basis
-        ]
+        basis = [tuple(l for l in layer if l in keep_set) for layer in self._basis]
         while basis and not basis[-1]:
             basis.pop()
-        diff = {
-            (src, tgt): sign
-            for src, ents in self._out.items()
-            if src in keep_set
-            for tgt, sign in ents
-            if tgt in keep_set
+        mdeg, degree_of, out = self._mdeg, self._degree_of, self._out
+        sub = object.__new__(BasedComplex)
+        sub._basis = tuple(basis)
+        sub._mdeg = {l: mdeg[l] for layer in basis for l in layer}
+        sub._degree_of = {l: degree_of[l] for layer in basis for l in layer}
+        sub._out = {
+            l: tuple(e for e in out[l] if e[0] in keep_set) for layer in basis for l in layer
         }
-        return BasedComplex(basis, diff)
+        sub._vsupp = {}
+        sub._layer_mdegs = tuple(tuple(mdeg[l] for l in layer) for layer in basis)
+        return sub
 
     # -- serialization ---------------------------------------------------------
 

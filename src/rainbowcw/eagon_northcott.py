@@ -19,7 +19,8 @@ from typing import Iterator
 
 from .complexes import BasedComplex
 from .determinantal import initial_ideal_maximal_minors, initial_term
-from .monomials import Monomial, format_monomial
+from .errors import SizeCap
+from .monomials import STRIDE, Monomial, format_monomial, from_mask
 from .termorders import TermOrder
 
 
@@ -101,45 +102,69 @@ def sparse_eagon_northcott(order: TermOrder) -> BasedComplex:
     term of its minor, and a higher basis element gets the order-maximum of
     x_ij * mdeg(target) over its contraction terms; exactly the terms
     attaining the maximum survive.  Labels are the multidegrees themselves,
-    which are pairwise distinct (a collision aborts construction)."""
-    en = eagon_northcott_complex(order.n, order.m)
-    variables = {
-        (i, j): Monomial.variable((i, j))
-        for i in range(1, order.n + 1)
-        for j in range(1, order.m + 1)
-    }
-    mdeg_of: dict[ENBasisElement, Monomial] = {}
-    label_of: dict[ENBasisElement, str] = {}
+    which are pairwise distinct (a collision aborts construction).
+
+    The elements and contraction terms are those of
+    :func:`eagon_northcott_complex` and :meth:`ENComplex.differential`, in
+    the same order, kept as plain ``(alpha, cols)`` keys with the support
+    mask and label of each multidegree.  A product x_ij * mdeg(target) is
+    the union of two masks: column j is not among the target's columns, so
+    the two are coprime.  A grid with more than ``STRIDE`` columns has no
+    masks and raises ``SizeCap``."""
+    n, m = order.n, order.m
+    if n > m:
+        raise ValueError(f"need n <= m, got {n} > {m}")
+    if m > STRIDE:
+        raise SizeCap(
+            f"the sparse Eagon-Northcott build covers at most {STRIDE} columns, got {m}"
+        )
+    bits = [
+        [0] + [Monomial.variable((i, j)).mask for j in range(1, m + 1)]
+        for i in range(1, n + 1)
+    ]
     basis: list[list[tuple[str, Monomial]]] = [[("1", Monomial.one())]]
     diff: dict[tuple[str, str], int] = {}
 
-    layer1 = []
-    for e in en.layers[1]:
-        term = initial_term(order, e.cols)
-        mdeg_of[e] = term.monomial
-        label_of[e] = label = format_monomial(term.monomial)
-        layer1.append((label, term.monomial))
+    below: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, str]] = {}
+    layer = []
+    alpha = (0,) * n
+    for cols in combinations(range(1, m + 1), n):
+        term = initial_term(order, cols)
+        label = format_monomial(term.monomial)
+        below[(alpha, cols)] = (term.monomial.mask, label)
+        layer.append((label, term.monomial))
         # The augmentation keeps the sign of the initial term inside the
         # minor; the lead terms of the standard minor relations only cancel
         # with these signs in place.
         diff[(label, "1")] = term.sign
-    basis.append(layer1)
+    basis.append(layer)
 
-    for ell in range(2, len(en.layers)):
+    for ell in range(2, m - n + 2):
+        current = {}
         layer = []
-        for e in en.layers[ell]:
-            terms = [
-                (sign, tgt, variables[var] * mdeg_of[tgt])
-                for sign, var, tgt in en.differential(e)
+        for alpha in _weak_compositions(ell - 1, n):
+            # (row bits, alpha with that row lowered) for the rows in the
+            # support of alpha
+            rows = [
+                (bits[i], alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :])
+                for i in range(n)
+                if alpha[i]
             ]
-            mdeg = order.max(prod for _, _, prod in terms)
-            mdeg_of[e] = mdeg
-            label_of[e] = label = format_monomial(mdeg)
-            layer.append((label, mdeg))
-            for sign, tgt, prod in terms:
-                if prod == mdeg:
-                    diff[(label, label_of[tgt])] = sign
+            for cols in combinations(range(1, m + 1), n + ell - 1):
+                terms = []
+                for row, lowered in rows:
+                    for pos, j in enumerate(cols):
+                        tmask, tlabel = below[(lowered, cols[:pos] + cols[pos + 1 :])]
+                        terms.append((-1 if pos & 1 else 1, tlabel, from_mask(tmask | row[j])))
+                mdeg = order.max(prod for _, _, prod in terms)
+                label = format_monomial(mdeg)
+                current[(alpha, cols)] = (mdeg.mask, label)
+                layer.append((label, mdeg))
+                for sign, tlabel, prod in terms:
+                    if prod.mask == mdeg.mask:
+                        diff[(label, tlabel)] = sign
         basis.append(layer)
+        below = current
     return BasedComplex(basis, diff)
 
 

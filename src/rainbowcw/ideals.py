@@ -138,19 +138,32 @@ def alexander_dual(ideal: MonomialIdeal) -> MonomialIdeal:
     ideal: the minimal transversals of the support hypergraph."""
     if not ideal.is_squarefree():
         raise NotSquarefree("Alexander dual requires a squarefree ideal")
-    # Incremental Berge procedure over the generator supports.
-    transversals: set[frozenset] = {frozenset()}
+    # Incremental Berge procedure over the generator supports, on bit masks
+    # over the sorted variables.  The transversals meeting a generator stay;
+    # each missing one t grows by one variable v of the generator, and t + v
+    # is kept unless it contains a transversal that stayed.  Two grown sets
+    # never contain each other: t = (t + v) minus the generator, and the old
+    # transversals form an antichain.  So the new family is an antichain too.
+    variables = sorted(ideal.support)
+    bit = {v: 1 << k for k, v in enumerate(variables)}
+    transversals = [0]
     for g in ideal.gens:
-        supp = g.support
-        nxt: set[frozenset] = set()
+        supp = 0
+        for v, _ in g.exps:
+            supp |= bit[v]
+        stayed = [t for t in transversals if t & supp]
+        grown = []
         for t in transversals:
             if t & supp:
-                nxt.add(t)
-            else:
-                for v in supp:
-                    nxt.add(t | {v})
-        # keep only inclusion-minimal sets
-        transversals = {
-            t for t in nxt if not any(s < t for s in nxt)
-        }
-    return MonomialIdeal(Monomial({v: 1 for v in t}) for t in transversals)
+                continue
+            rest = supp
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                c = t | low
+                if not any(s & c == s for s in stayed):
+                    grown.append(c)
+        transversals = stayed + grown
+    return MonomialIdeal(
+        Monomial({v: 1 for k, v in enumerate(variables) if t >> k & 1}) for t in transversals
+    )

@@ -120,7 +120,7 @@ class Monomial:
         if a >= 0 and b >= 0 and not a & b:
             # Coprime squarefree grid monomials: the product is squarefree
             # too, with the union of the masks.
-            return _from_mask(a | b)
+            return from_mask(a | b)
         m = dict(self.exps)
         for v, e in other.exps:
             m[v] = m.get(v, 0) + e
@@ -162,7 +162,7 @@ class Monomial:
                 return self
             if union == b:
                 return other
-            return _from_mask(union)
+            return from_mask(union)
         m = dict(self.exps)
         for v, e in other.exps:
             if e > m.get(v, 0):
@@ -186,7 +186,7 @@ class Monomial:
 _ONE = Monomial()
 
 
-def _from_mask(mask: int) -> Monomial:
+def from_mask(mask: int) -> Monomial:
     """The squarefree grid monomial with support mask ``mask`` >= 0, built
     from its bits without sorting and without ``Monomial.__init__``."""
     terms = []

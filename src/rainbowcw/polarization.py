@@ -74,8 +74,16 @@ def replay_free_sequence(cx: BasedComplex, ordering) -> bool:
 def find_free_sequence(cx: BasedComplex, targets) -> FreeSequenceReport:
     """Backtracking search for an ordering of ``targets`` in which each vertex
     is free after deleting its predecessors (deletion = induced subcomplex on
-    the remaining vertices).  Exhaustive failure is a definitive NONE."""
+    the remaining vertices).  Exhaustive failure is a definitive NONE.
+
+    A kept face keeps its vertex support, so the complex at a node depends
+    only on which targets are deleted, and ``remaining`` is a sound key for a
+    memo of the nodes whose subtree failed: a child in the memo is skipped
+    before its subcomplex is built.  Only failures are recorded, so the
+    search tries candidates in the same order and finds the same first
+    ordering as without the memo."""
     targets = tuple(sorted(targets))
+    failed: set[tuple[str, ...]] = set()
 
     def search(complex_: BasedComplex, remaining: tuple[str, ...]):
         if not remaining:
@@ -88,12 +96,15 @@ def find_free_sequence(cx: BasedComplex, targets) -> FreeSequenceReport:
         )
         for v in candidates:
             rest = tuple(w for w in remaining if w != v)
+            if rest in failed:
+                continue
             smaller = induced_subcomplex(
                 complex_, set(complex_.labels(1)) - {v}
             )
             tail = search(smaller, rest)
             if tail is not None:
                 return [(v, counts[v])] + tail
+        failed.add(remaining)
         return None
 
     result = search(cx, targets)

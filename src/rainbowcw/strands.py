@@ -79,9 +79,19 @@ class SupportChain:
 
 
 def support_chain(
-    cx: BasedComplex, face: str, v: str, order: TermOrder | None = None
+    cx: BasedComplex,
+    face: str,
+    v: str,
+    order: TermOrder | None = None,
+    *,
+    context: VertexContext | None = None,
 ) -> SupportChain:
-    ctx = neighbors(cx, v, order)
+    """The support chain of ``face`` at ``v``.  A caller that already holds
+    ``neighbors(cx, v, order)`` passes it as ``context``; a context for
+    another vertex raises ValueError."""
+    ctx = neighbors(cx, v, order) if context is None else context
+    if ctx.vertex != v:
+        raise ValueError(f"context is for vertex {ctx.vertex!r}, not {v!r}")
     if v not in cx.vertex_support(face):
         raise NotSupported(f"vertex {v} does not lie on {face}")
     dim = cx.degree_of(face) - 1
@@ -147,7 +157,7 @@ def q_morphism(cx: BasedComplex, v: str, order: TermOrder | None = None) -> QMor
             if i == 1:
                 images[face] = (1, ())
                 continue
-            chain = support_chain(cx, face, v, order)
+            chain = support_chain(cx, face, v, order, context=ctx)
             subset = tuple(sorted((w for w in ctx.neighbors if w in vsupp), key=pos_of.get))
             images[face] = (chain_sign(cx, chain), subset)
 

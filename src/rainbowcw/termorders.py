@@ -79,13 +79,31 @@ class TermOrder:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "TermOrder":
+    def from_json(data) -> "TermOrder":
+        """Inverse of :meth:`to_json`: an object whose ``weights`` are n
+        lists of m integers, with optional integer ``n`` and ``m``.  Anything
+        else (a bool, float or string where an integer belongs, say) raises
+        ValueError instead of being coerced."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a term order is a JSON object, got {type(data).__name__}")
         if data.get("tiebreak", "row-major") != "row-major":
             raise ValueError("only the row-major tiebreak is supported")
-        weights = tuple(tuple(int(x) for x in row) for row in data["weights"])
-        n = int(data.get("n", len(weights)))
-        m = int(data.get("m", len(weights[0]) if weights else 0))
+        rows = data.get("weights")
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(_is_int(x) for x in row) for row in rows
+        ):
+            raise ValueError("weights must be a list of lists of integers")
+        weights = tuple(tuple(row) for row in rows)
+        n = data.get("n", len(weights))
+        m = data.get("m", len(weights[0]) if weights else 0)
+        if not (_is_int(n) and _is_int(m)):
+            raise ValueError("n and m must be integers")
         return TermOrder(n, m, weights)
+
+
+def _is_int(x) -> bool:
+    """An integer that is not a bool."""
+    return type(x) is int
 
 
 def diagonal_order(n: int, m: int) -> TermOrder:

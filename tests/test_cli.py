@@ -326,3 +326,70 @@ def test_betti_refuses_the_unit_ideal_and_too_many_variables(tmp_path, capsys, c
     ideal.write_text(json.dumps(content))
     assert run(["betti", "--ideal-file", str(ideal)]) == 2
     _assert_one_error_line(capsys, kind)
+
+
+# At 2x4, [1,2] once exited 1 with an AttributeError traceback and
+# {"weights": 5} with a TypeError one; a float, a bool and a string weight
+# were coerced by int() to 1, 1 and 7, exiting 0 with an order never given.
+@pytest.mark.parametrize(
+    "content",
+    [
+        [1, 2],
+        {"weights": 5},
+        {"weights": [[1.5, 2, 3, 4], [1, 2, 3, 4]]},
+        {"weights": [[True, 2, 3, 4], [1, 2, 3, 4]]},
+        {"weights": [["7", 2, 3, 4], [1, 2, 3, 4]]},
+        {"weights": [[1, 2, 3, 4], 5]},
+        {"weights": [[1, 2, 3, 4], [1, 2, 3]]},
+        {"n": 2.0, "m": 4, "weights": [[1, 2, 3, 4], [1, 2, 3, 4]]},
+        {"n": 2, "m": "4", "weights": [[1, 2, 3, 4], [1, 2, 3, 4]]},
+        {"m": 4},
+        "7",
+    ],
+)
+def test_malformed_order_file_is_a_parse_error(tmp_path, capsys, content):
+    order = tmp_path / "order.json"
+    order.write_text(json.dumps(content))
+    assert run(["initial-ideal", "-n", "2", "-m", "4", "--order-file", str(order)]) == 2
+    _assert_one_error_line(capsys, "ParseError")
+
+
+def test_order_file_round_trips(tmp_path, capsys):
+    order = tmp_path / "order.json"
+    weights = [[0, 3, 1, 2], [0, 0, 0, 0]]
+    order.write_text(json.dumps({"n": 2, "m": 4, "weights": weights}))
+    assert run(["initial-ideal", "-n", "2", "-m", "4", "--order-file", str(order)]) == 0
+    manifest = json.loads(capsys.readouterr().out)["manifest"]
+    assert manifest["order"] == {"n": 2, "m": 4, "weights": weights, "tiebreak": "row-major"}
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    from rainbowcw.cli import build_parser
+
+    assert build_parser() is build_parser()
+    delta = tmp_path / "delta.json"
+    delta.write_text(json.dumps({"n": 2, "m": 3, "facets": [[1, 2], [1, 3], [2, 3]]}))
+    polarize = ["polarize", "--delta-file", str(delta)]
+
+    def facets():
+        return json.loads(capsys.readouterr().out)["manifest"]["input_facets"]
+
+    assert run(polarize) == 0
+    everything = facets()
+    assert run(polarize + ["--delete", "2,3"]) == 0
+    assert facets() == [[1, 2], [1, 3]]
+    assert run(polarize + ["--delete", "1,3"]) == 0
+    assert facets() == [[1, 2], [2, 3]]  # the earlier --delete is not carried over
+    assert run(polarize) == 0
+    assert facets() == everything
+    # neither a ParseError nor a usage error leaves a trace in the next call
+    assert run(polarize + ["--delete", "a,b"]) == 2
+    _assert_one_error_line(capsys, "ParseError")
+    assert run(polarize) == 0
+    assert facets() == everything
+    with pytest.raises(SystemExit) as usage:
+        run(polarize + ["--no-such-flag"])
+    assert usage.value.code == 2
+    capsys.readouterr()
+    assert run(polarize + ["--delete", "1,2"]) == 0
+    assert facets() == [[1, 3], [2, 3]]

@@ -1,6 +1,7 @@
 import random
 from math import comb
 
+import pytest
 from hypothesis import example, given, settings
 
 from rainbowcw import (
@@ -23,6 +24,8 @@ from rainbowcw.eagon_northcott import (
     eagon_northcott_complex,
     semimodularity_witness,
 )
+from rainbowcw.errors import SizeCap
+from rainbowcw.termorders import TermOrder
 from tests.conftest import LEFT_VERTEX_LABELS, RIGHT_VERTEX_LABELS
 from tests.test_determinantal import ref_initial_term, seeded_order, term_orders
 
@@ -249,3 +252,12 @@ def test_sparse_en_matches_the_reference_build(order):
     for i in range(ref.top_degree + 1):
         for label in ref.labels(i):
             assert cx.mdeg(label).exps == ref.mdeg(label).exps
+
+
+def test_grids_wider_than_the_masks_are_refused():
+    # 1 x 17 would be a Koszul complex with 2^17 elements; its variables
+    # have no support masks, which the build runs on.
+    with pytest.raises(SizeCap):
+        sparse_eagon_northcott(diagonal_order(1, 17))
+    with pytest.raises(ValueError):
+        sparse_eagon_northcott(TermOrder(3, 2, ((0, 0),) * 3))

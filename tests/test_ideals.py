@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -101,3 +102,40 @@ def test_alexander_dual_involution_small():
                 if len(ideal) != r:
                     continue  # not a minimal system, skip
                 assert alexander_dual(alexander_dual(ideal)) == ideal
+
+
+def ref_alexander_dual(ideal):
+    """The Berge procedure on frozensets, with an all-pairs minimality pass
+    after every generator."""
+    transversals = {frozenset()}
+    for g in ideal.gens:
+        supp = g.support
+        nxt = set()
+        for t in transversals:
+            if t & supp:
+                nxt.add(t)
+            else:
+                for v in supp:
+                    nxt.add(t | {v})
+        transversals = {t for t in nxt if not any(s < t for s in nxt)}
+    return MonomialIdeal(Monomial({v: 1 for v in t}) for t in transversals)
+
+
+def _random_hypergraph(rng, variables):
+    edges = []
+    for _ in range(rng.randint(0, 9)):
+        edges.append(Monomial({v: 1 for v in rng.sample(variables, rng.randint(1, 4))}))
+    return MonomialIdeal(edges)
+
+
+@pytest.mark.parametrize("ring", ["grid", "plain"])
+def test_bitmask_alexander_dual_matches_the_frozenset_berge(ring):
+    rng = random.Random(f"alexander dual {ring}")
+    if ring == "grid":
+        variables = [(i, j) for i in range(1, 4) for j in range(1, 6)]
+    else:
+        variables = list(range(1, 11))
+    ideals = [MonomialIdeal.zero(), MonomialIdeal([Monomial.one()])]
+    ideals += [_random_hypergraph(rng, variables) for _ in range(400)]
+    for ideal in ideals:
+        assert alexander_dual(ideal) == ref_alexander_dual(ideal)

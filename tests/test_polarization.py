@@ -1,5 +1,6 @@
 import random
 from itertools import permutations
+from math import comb
 
 import pytest
 
@@ -25,9 +26,10 @@ from rainbowcw import (
     specialize,
     variable_differences_regular,
 )
-from rainbowcw.determinantal import random_overlap_dual
+from rainbowcw.determinantal import random_overlap_dual, random_pure_complex
 from rainbowcw.errors import SetupViolated
 from rainbowcw.monomials import format_monomial
+from rainbowcw.polarization import FreeSequenceReport
 from rainbowcw.strands import induced_subcomplex
 
 
@@ -239,3 +241,114 @@ def test_every_order_free_sequence_when_linear(order35, dual35, delta35):
         assert replay_free_sequence(cx, perm)
     # a vertex already deleted lies in no facet, so replaying it again fails
     assert not replay_free_sequence(cx, targets + targets[:1])
+
+
+# -- the memoized free-sequence search against the plain one ------------------
+
+
+class _OverBudget(Exception):
+    pass
+
+
+def ref_find_free_sequence(cx, targets, budget):
+    """The backtracking search without a memo, giving up (``_OverBudget``)
+    after ``budget`` search nodes: it is exponential in the targets.  Also
+    returns the search states (remaining targets) it built a face poset for,
+    in visiting order."""
+    targets = tuple(sorted(targets))
+    visited = []
+
+    def search(complex_, remaining):
+        if not remaining:
+            return []
+        visited.append(remaining)
+        if len(visited) > budget:
+            raise _OverBudget
+        poset = face_poset(complex_)
+        counts = {v: len(poset.facets_containing(v)) for v in remaining}
+        candidates = sorted(
+            (v for v in remaining if counts[v] == 1), key=lambda v: (counts[v], v)
+        )
+        for v in candidates:
+            rest = tuple(w for w in remaining if w != v)
+            smaller = induced_subcomplex(complex_, set(complex_.labels(1)) - {v})
+            tail = search(smaller, rest)
+            if tail is not None:
+                return [(v, counts[v])] + tail
+        return None
+
+    result = search(cx, targets)
+    if result is None:
+        return FreeSequenceReport(targets, None), visited
+    report = FreeSequenceReport(targets, tuple(v for v, _ in result), list(result))
+    return report, visited
+
+
+def _free_seq_cases():
+    """(order, dual) pairs at 2x4..3x6: per size, six duals of any size and
+    six with at least 13 facets (or all of them, below 13), under the
+    diagonal order and random ones; plus two 3x6 duals with 13 and 15
+    facets and no free sequence that the plain search settles in under
+    2000 nodes (most such duals take it far more)."""
+    for n, m in [(2, 4), (2, 5), (3, 5), (2, 6), (3, 6)]:
+        for seed in range(12):
+            rng = random.Random(f"{n}x{m} {seed}")
+            order = diagonal_order(n, m) if seed % 2 == 0 else random_term_order(n, m, rng)
+            top = comb(m, n)
+            k = rng.randint(0, top) if seed < 6 else rng.randint(min(13, top), top)
+            yield order, random_pure_complex(n, m, rng, k)
+    for seed in (0, 14):
+        rng = random.Random(f"free-seq {seed}")
+        yield diagonal_order(3, 6), random_pure_complex(3, 6, rng, rng.randint(13, 20))
+
+
+def test_memoized_free_sequence_matches_the_plain_search(monkeypatch):
+    # The memoized search visits the states of the plain one, each once: it
+    # builds one face poset per distinct state (and the plain search repeats
+    # some of them on the failing cases).
+    import rainbowcw.polarization as polarization
+
+    posets = []
+
+    def counted_face_poset(cx):
+        posets.append(cx)
+        return face_poset(cx)
+
+    compared, repeated = [], 0
+    for order, dual in _free_seq_cases():
+        cx = sparse_eagon_northcott(order)
+        targets = [format_monomial(initial_minor(order, f)) for f in dual.sorted_facets()]
+        try:
+            want, visited = ref_find_free_sequence(cx, targets, budget=2000)
+        except _OverBudget:
+            continue
+        posets.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(polarization, "face_poset", counted_face_poset)
+            got = find_free_sequence(cx, targets)
+        assert got.to_json() == want.to_json()
+        assert len(posets) == len(set(visited))
+        compared.append((len(targets), want.found))
+        repeated += len(visited) > len(set(visited))
+    assert len(compared) >= 50
+    assert sum(1 for r, found in compared if r >= 13 and found) >= 5
+    assert sum(1 for r, found in compared if r >= 13 and not found) >= 3
+    assert repeated >= 3
+
+
+@pytest.mark.parametrize("n,m", [(2, 5), (3, 5), (3, 6)])
+def test_deleted_vertices_fix_the_complex_whatever_their_order(n, m):
+    # The memo keys a search node by its remaining targets alone: deleting a
+    # vertex set one vertex at a time gives the same complex in every order.
+    rng = random.Random(f"deletion order {n}x{m}")
+    cx = sparse_eagon_northcott(random_term_order(n, m, rng))
+    verts = list(cx.labels(1))
+    for _ in range(6):
+        gone = rng.sample(verts, rng.randint(1, len(verts) - 1))
+        want = induced_subcomplex(cx, set(verts) - set(gone)).to_json()
+        for _ in range(3):
+            rng.shuffle(gone)
+            current = cx
+            for v in gone:
+                current = induced_subcomplex(current, set(current.labels(1)) - {v})
+            assert current.to_json() == want

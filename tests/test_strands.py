@@ -344,3 +344,27 @@ def test_colon_by_vertex_gives_neighbor_koszul_strand():
             k = len(neighbors(cx, v, o).neighbors)
             row0 = koszul_betti(quotient).row(0)
             assert row0 == {0: 1, **{i: comb(k, i) for i in range(1, k + 1)}}
+
+
+@pytest.mark.parametrize("n,m", [(2, 4), (3, 5), (3, 6)])
+def test_support_chain_with_a_context_matches_the_one_it_builds(n, m):
+    rng = random.Random(f"support chain {n}x{m}")
+    for order in (diagonal_order(n, m), random_term_order(n, m, rng), None):
+        cx = sparse_eagon_northcott(order or diagonal_order(n, m))
+        for v in cx.labels(1):
+            ctx = neighbors(cx, v, order)
+            for face in cx.all_labels():
+                if cx.degree_of(face) < 2 or v not in cx.vertex_support(face):
+                    continue
+                assert support_chain(cx, face, v, order, context=ctx) == support_chain(
+                    cx, face, v, order
+                )
+
+
+def test_support_chain_rejects_a_context_for_another_vertex():
+    o = diagonal_order(2, 3)
+    cx = sparse_eagon_northcott(o)
+    edge = "x[1,1] * x[1,2] * x[2,3]"
+    other = neighbors(cx, "x[1,2] * x[2,3]", o)
+    with pytest.raises(ValueError):
+        support_chain(cx, edge, "x[1,1] * x[2,3]", o, context=other)
