@@ -16,10 +16,9 @@ strands, indexed by the lcm closure of the multidegrees involved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .errors import EmptyTable, GradingViolation, NotMinimal, SizeCap, UnitIdeal
 from .gfp import DEFAULT_PRIME, VectorComplex, cell_homology, check_prime
@@ -403,64 +402,86 @@ def koszul_strand_homology(
     S <-> S + {v} through a differential entry of +-1, so U / C_v is the cone
     of an identity map and is acyclic.  Hence H_i(U) = H_i(C_v) for every i
     and every p, and the ranks are taken on C_v for the v that leaves the
-    fewest cells.
+    fewest cells (the lowest such v on a tie).
+
+    Sets of subsets are Python ints of 2^s bits, s = |supp(alpha)|, with bit
+    S standing for the subset with bit mask S over the sorted support; the
+    cells reach ``cell_homology`` in increasing mask order.
     """
     s = len(alpha.support)
     standard = _standard_subsets(ideal, alpha)
     if s == 0:
-        return [int(standard[0])]
-    pivot = min(range(s), key=lambda k: np.count_nonzero(_cone_indicator(standard, k)))
-    return cell_homology(_cone_cells(standard, pivot), s, p)
+        return [standard]
+    return cell_homology(_members(min(_cones(standard, s), key=int.bit_count)), s, p)
 
 
-def _standard_subsets(ideal: MonomialIdeal, alpha: Monomial) -> np.ndarray:
-    """Boolean indicator of the standard subsets of supp(alpha), indexed by
-    bit mask over the sorted support.
+@cache
+def _lacking(s: int) -> tuple[int, ...]:
+    """For each k < s, the 2^s-bit set of the subsets of an s-set that lack
+    element k: bits 0..2^k - 1 of every block of 2^(k+1), built by doubling
+    (a big-int division or product would cost far more at s = 22)."""
+    lacking = []
+    for k in range(s):
+        bits, width = (1 << (1 << k)) - 1, 2 << k
+        while width < 1 << s:
+            bits |= bits << width
+            width <<= 1
+        lacking.append(bits)
+    return tuple(lacking)
+
+
+def _standard_subsets(ideal: MonomialIdeal, alpha: Monomial) -> int:
+    """The standard subsets of supp(alpha) as a 2^s-bit set, s = |supp(alpha)|.
 
     A generator g dividing x^alpha divides x^alpha / x^S exactly when S
     avoids the tight variables, where g reaches the exponent of alpha; so S
     is standard iff it meets the tight set of every such g.
     """
     exps = dict(alpha.exps)
-    bit = {v: 1 << k for k, v in enumerate(sorted(exps))}
-    tight_sets = set()
+    support = sorted(exps)
+    lacking = dict(zip(support, _lacking(len(support))))
+    full = (1 << (1 << len(support))) - 1
+    avoiding = set()
     for g in ideal.gens:
-        # One pass decides whether g divides x^alpha and collects its tight set.
-        tight = 0
+        # One pass decides whether g divides x^alpha and collects the subsets
+        # that avoid its tight set.
+        avoid = full
         for v, e in g.exps:
             a = exps.get(v, 0)
             if e > a:
                 break
             if e == a:
-                tight |= bit[v]
+                avoid &= lacking[v]
         else:
-            tight_sets.add(tight)
-    masks = np.arange(1 << len(bit), dtype=np.int64)
-    standard = np.ones(masks.size, dtype=bool)
-    for tight in tight_sets:
-        standard &= (masks & tight) != 0
+            avoiding.add(avoid)
+    standard = full
+    for avoid in avoiding:
+        standard &= ~avoid
     return standard
 
 
-def _cone_indicator(standard: np.ndarray, k: int) -> np.ndarray:
-    """C_v for v = bit k over the masks containing v: entry (j, l) stands for
-    S = j * 2^(k+1) + 2^k + l and is set when S is standard and S - {v} is
-    not."""
-    halves = standard.reshape(-1, 2, 1 << k)
-    return halves[:, 1, :] > halves[:, 0, :]
+def _cones(standard: int, s: int) -> list[int]:
+    """C_v for v = bit k, for each k < s: the standard S that contain v with
+    S - {v} (bit S - 2^k) not standard."""
+    return [standard & ~lack & ~(standard << (1 << k)) for k, lack in enumerate(_lacking(s))]
 
 
-def _cone_cells(standard: np.ndarray, k: int) -> list[int]:
-    """Masks of C_v for v = bit k."""
-    idx = np.flatnonzero(_cone_indicator(standard, k))
-    low = (1 << k) - 1
-    return ((idx & ~low) << 1 | 1 << k | idx & low).tolist()
+def _members(bits: int) -> list[int]:
+    """The positions of the set bits, lowest first."""
+    digits = bin(bits)[:1:-1]
+    members = []
+    at = digits.find("1")
+    while at >= 0:
+        members.append(at)
+        at = digits.find("1", at + 1)
+    return members
 
 
-# Each multidegree alpha of the sweep allocates 2^|supp(alpha)| standard-subset
-# masks (int64), and without a degree cap the lcm of all generators is one of
-# them: 22 variables ask for 32 MiB, 30 would ask for 8 GiB.  Every rainbow
-# DFI inside the CLI's size caps uses at most n(m - n + 1) = 20 variables.
+# Each multidegree alpha of the sweep holds its standard subsets and cones as
+# ints of 2^|supp(alpha)| bits, and without a degree cap the lcm of all
+# generators is one of them: 22 variables take 512 KiB per set, 30 would take
+# 128 MiB.  Every rainbow DFI inside the CLI's size caps uses at most
+# n(m - n + 1) = 20 variables.
 MAX_SUPPORT = 22
 
 

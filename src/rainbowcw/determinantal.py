@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from .errors import DegenerateOrder, ParseError
 from .ideals import MonomialIdeal
 from .monomials import Monomial
-from .termorders import TermOrder, random_weights
+from .termorders import TermOrder, _is_int, random_weights
 
 
 @dataclass(frozen=True)
@@ -139,10 +139,23 @@ class PureComplex:
         return {"n": self.n, "m": self.m, "facets": [list(f) for f in self.sorted_facets()]}
 
     @staticmethod
-    def from_json(data: dict) -> "PureComplex":
+    def from_json(data) -> "PureComplex":
+        """Inverse of :meth:`to_json`: an object with integer ``n`` and ``m``
+        and ``facets`` a list of lists of integers.  Anything else (a bool,
+        float or string where an integer belongs, say) raises ParseError
+        instead of being coerced, as :meth:`TermOrder.from_json` does."""
+        if not isinstance(data, dict):
+            raise ParseError(f"bad pure-complex JSON: expected an object, got {type(data).__name__}")
+        n, m, facets = data.get("n"), data.get("m"), data.get("facets")
+        if not (_is_int(n) and _is_int(m)):
+            raise ParseError("bad pure-complex JSON: n and m must be integers")
+        if not isinstance(facets, list) or not all(
+            isinstance(f, list) and all(_is_int(v) for v in f) for f in facets
+        ):
+            raise ParseError("bad pure-complex JSON: facets must be a list of lists of integers")
         try:
-            return PureComplex(int(data["n"]), int(data["m"]), data["facets"])
-        except (KeyError, TypeError, ValueError) as exc:
+            return PureComplex(n, m, facets)
+        except ValueError as exc:
             raise ParseError(f"bad pure-complex JSON: {exc}") from exc
 
     @staticmethod

@@ -111,12 +111,15 @@ class VectorComplex:
         return len(self.dims) - 1
 
     def rank(self, i: int, p: int) -> int:
-        if i <= 0 or i > self.top:
+        # Most strands leave most differentials empty; skip the call for them.
+        if i <= 0 or i > self.top or not self.diffs[i]:
             return 0
         return matrix_rank(self.diffs[i], self.dims[i - 1], self.dims[i], p)
 
     def homology_ranks(self, p: int) -> list[int]:
-        """dim H_i for i = 0..top."""
+        """dim H_i for i = 0..top.  Raises ValueError unless p is a prime
+        below MAX_PRIME, also when every differential is empty."""
+        check_prime(p)
         ranks = [self.rank(i, p) for i in range(self.top + 2)]
         return [self.dims[i] - ranks[i] - ranks[i + 1] for i in range(self.top + 1)]
 

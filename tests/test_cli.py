@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rainbowcw
 from rainbowcw.cli import main
 
 
@@ -354,6 +359,30 @@ def test_malformed_order_file_is_a_parse_error(tmp_path, capsys, content):
     _assert_one_error_line(capsys, "ParseError")
 
 
+# At 3x5, "n": 3.7 (and "n": "3") once exited 0 read as n = 3, "n": true
+# with facets [[1]] exited 0 as a 1x5 complex, and a facet [1.5, 2, 3]
+# exited 1 with a TypeError traceback.
+@pytest.mark.parametrize(
+    "content",
+    [
+        {"n": 3.7, "m": 5, "facets": [[1, 2, 3], [3, 4, 5]]},
+        {"n": True, "m": 5, "facets": [[1]]},
+        {"n": 3, "m": 5, "facets": [[1.5, 2, 3]]},
+        {"n": "3", "m": 5, "facets": [[1, 2, 3]]},
+        {"n": 3, "m": 5, "facets": [[1, 2, True]]},
+        {"n": 3, "m": 5, "facets": [[1, 2, 3], 4]},
+        {"n": 3, "m": 5, "facets": "123"},
+        {"n": 3, "m": 5},
+        [[1, 2, 3]],
+    ],
+)
+def test_malformed_complex_file_is_a_parse_error(tmp_path, capsys, content):
+    dual = tmp_path / "dual.json"
+    dual.write_text(json.dumps(content))
+    assert run(["free-seq", "--dual-file", str(dual)]) == 2
+    _assert_one_error_line(capsys, "ParseError")
+
+
 def test_order_file_round_trips(tmp_path, capsys):
     order = tmp_path / "order.json"
     weights = [[0, 3, 1, 2], [0, 0, 0, 0]]
@@ -393,3 +422,12 @@ def test_the_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
     capsys.readouterr()
     assert run(polarize + ["--delete", "1,2"]) == 0
     assert facets() == [[1, 3], [2, 3]]
+
+
+def test_the_program_imports_without_numpy():
+    # numpy is a test dependency only; the CLI must not load it, since every
+    # call pays for the import.
+    env = dict(os.environ, PYTHONPATH=str(Path(rainbowcw.__file__).parent.parent))
+    code = "import sys, rainbowcw.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

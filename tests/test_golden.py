@@ -6,13 +6,18 @@ each side file by name), each at p = 2 and p = 32003, for
 - sparse-en --export dot at 2x4 and 3x5 under both orders;
 - strand --betti-csv and polarize --summary-csv on the worked 3x5 dual;
 - experiment --mode free-vertex-orders at 3x5;
+- betti on a non-squarefree ideal in a plain polynomial ring
+  (``data/ideal_plain.json``) and strand --betti-csv on the 4x7 dual
+  ``[[1,2,3,4]]`` (``data/dual47.json``);
 and, at p = 32003 only since it takes seconds, cw-check at 2x7.
 
 The 2x4 and 3x5 digests of the first three commands and the dual35 runs were
 recorded from the implementation before integer-weight initial terms, the
-rest from the label-based face poset before it became an int-mask view of
-its complex.  A change that moves any byte of these outputs fails here.
-Regenerate them only for an intended change of output, and say so.
+betti and dual47 digests from the numpy Koszul kernel before the
+standard-subset indicator became an int bitset, the rest from the
+label-based face poset before it became an int-mask view of its complex.
+A change that moves any byte of these outputs fails here.  Regenerate them
+only for an intended change of output, and say so.
 """
 
 import hashlib
@@ -57,6 +62,9 @@ RUNS["strand --betti-csv dual35"] = [
     "strand", "--dual-file", str(DATA / "dual35.json"), "--betti-csv", "{tmp}/betti.csv"]
 RUNS["polarize --summary-csv dual35"] = [
     "polarize", "--dual-file", str(DATA / "dual35.json"), "--summary-csv", "{tmp}/summary.csv"]
+RUNS["betti ideal_plain"] = ["betti", "--ideal-file", str(DATA / "ideal_plain.json")]
+RUNS["strand --betti-csv dual47"] = [
+    "strand", "--dual-file", str(DATA / "dual47.json"), "--betti-csv", "{tmp}/betti.csv"]
 
 GOLDEN = {
     "initial-ideal 2x4 diagonal p=2":
@@ -115,6 +123,14 @@ GOLDEN = {
         "2d6561fd7e7763a9c7edcbaf9a1107763ef3230dadace98aa630319efdac3118",
     "polarize --summary-csv dual35 p=32003":
         "479292bd75916d635ed62914f78f6eac1eae19aab2385f831e3f69e1f3c93548",
+    "betti ideal_plain p=2":
+        "86ca089eb0e0ff0c46a2e4a23e83b3cadd1870d1bdc5a72f3bb50ff84fdb88ed",
+    "betti ideal_plain p=32003":
+        "0a6a2f2eb129420888deb829a3234616c55c0717b36b2690b0ffc94263775869",
+    "strand --betti-csv dual47 p=2":
+        "095371885ba61b3d34493979e0a4a3e281ddf1f3f46718b4a863f4a1a0b8bb26",
+    "strand --betti-csv dual47 p=32003":
+        "b73c19fdc3240ab8f4bee2b1114c9c2dbc0c7384bacb7f7cb50f727272b6ae7a",
     "sparse-en --certify-cw 2x5 diagonal p=2":
         "c2758e61c338392c7974d724f25fa47448cac16f38eeb9ce7f105c8d120488a5",
     "sparse-en --certify-cw 2x5 diagonal p=32003":

@@ -4,11 +4,18 @@ The oracle computes each multidegree strand on the cone-reduced subcomplex
 C_v.  The reference below builds the unreduced strand straight from the
 definition: every subset S of supp(alpha) with x^alpha / x^S not in I, over
 all 2^s masks, with ranks from ``gfp.matrix_rank``.
+
+The oracle keeps its sets of subsets as ints of 2^s bits.  The numpy kernel
+it replaced (a boolean array over the 2^s masks, the cone read off a
+reshape, the pivot by ``count_nonzero`` and the cells by ``flatnonzero``) is
+kept here as a second reference for the standard subsets, the pivot and the
+ordered cell list.
 """
 
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +29,9 @@ from rainbowcw import (
 )
 from rainbowcw.complexes import (
     MAX_SUPPORT,
-    _cone_cells,
+    _cones,
+    _lacking,
+    _members,
     _standard_subsets,
     koszul_betti,
     koszul_strand_homology,
@@ -115,10 +124,98 @@ def test_every_pivot_gives_the_reference_homology(gens, alpha, p):
     ideal, alpha = MonomialIdeal(map(mono, gens)), mono(alpha)
     expected = reference_strand_homology(ideal, alpha, p)
     assert koszul_strand_homology(ideal, alpha, p) == expected
-    standard = _standard_subsets(ideal, alpha)
     s = len(alpha.support)
-    for k in range(s):
-        assert cell_homology(_cone_cells(standard, k), s, p) == expected
+    for cone in _cones(_standard_subsets(ideal, alpha), s):
+        assert cell_homology(_members(cone), s, p) == expected
+
+
+def numpy_standard_subsets(ideal, alpha):
+    """The replaced kernel: a boolean array over the masks of supp(alpha)."""
+    exps = dict(alpha.exps)
+    bit = {v: 1 << k for k, v in enumerate(sorted(exps))}
+    tight_sets = set()
+    for g in ideal.gens:
+        tight = 0
+        for v, e in g.exps:
+            a = exps.get(v, 0)
+            if e > a:
+                break
+            if e == a:
+                tight |= bit[v]
+        else:
+            tight_sets.add(tight)
+    masks = np.arange(1 << len(bit), dtype=np.int64)
+    standard = np.ones(masks.size, dtype=bool)
+    for tight in tight_sets:
+        standard &= (masks & tight) != 0
+    return standard
+
+
+def numpy_cone_indicator(standard, k):
+    halves = standard.reshape(-1, 2, 1 << k)
+    return halves[:, 1, :] > halves[:, 0, :]
+
+
+def numpy_cone_cells(standard, k):
+    idx = np.flatnonzero(numpy_cone_indicator(standard, k))
+    low = (1 << k) - 1
+    return ((idx & ~low) << 1 | 1 << k | idx & low).tolist()
+
+
+def numpy_pivot(standard, s):
+    return min(range(s), key=lambda k: np.count_nonzero(numpy_cone_indicator(standard, k)))
+
+
+def _grid(k):
+    return (k // 4 + 1, k % 4 + 1)
+
+
+@st.composite
+def _ideal_and_alpha(draw):
+    """An ideal and a multidegree on up to 12 variables, exponents 0..3: the
+    generators mostly stay below alpha, so many of them divide it."""
+    nvars = draw(st.integers(1, 12))
+    top = draw(st.sampled_from([1, 3]))
+    var = draw(st.sampled_from([lambda k: k + 1, _grid]))
+    alpha = draw(st.lists(st.integers(0, top), min_size=nvars, max_size=nvars))
+    gens = draw(st.lists(
+        st.lists(st.integers(0, top), min_size=nvars, max_size=nvars).map(
+            lambda g: [min(e, a + (e > 2)) for e, a in zip(g, alpha)]),
+        min_size=1, max_size=8))
+
+    def mono(exps):
+        return Monomial({var(k): e for k, e in enumerate(exps) if e})
+
+    return MonomialIdeal(map(mono, gens)), mono(alpha)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_ideal_and_alpha())
+def test_bitset_kernel_matches_the_numpy_kernel(case):
+    ideal, alpha = case
+    s = len(alpha.support)
+    reference = numpy_standard_subsets(ideal, alpha)
+    standard = _standard_subsets(ideal, alpha)
+    assert _members(standard) == np.flatnonzero(reference).tolist()
+    if s == 0:
+        return
+    cones = _cones(standard, s)
+    assert [_members(c) for c in cones] == [numpy_cone_cells(reference, k) for k in range(s)]
+    assert min(range(s), key=lambda k: cones[k].bit_count()) == numpy_pivot(reference, s)
+
+
+@pytest.mark.parametrize("s", range(13))
+def test_lacking_is_the_subsets_without_each_element(s):
+    assert _lacking(s) == tuple(
+        sum(1 << mask for mask in range(1 << s) if not mask >> k & 1) for k in range(s)
+    )
+
+
+def test_members_lists_set_bits_lowest_first():
+    assert _members(0) == []
+    assert _members(1) == [0]
+    assert _members(0b1011000) == [3, 4, 6]
+    assert _members(1 << 5000 | 1 << 17) == [17, 5000]
 
 
 def test_oracle_refuses_the_unit_ideal_and_a_support_past_the_cap():
