@@ -9,13 +9,16 @@ each side file by name), each at p = 2 and p = 32003, for
 - betti on a non-squarefree ideal in a plain polynomial ring
   (``data/ideal_plain.json``) and strand --betti-csv on the 4x7 dual
   ``[[1,2,3,4]]`` (``data/dual47.json``);
-and, at p = 32003 only since it takes seconds, cw-check at 2x7.
+and, since each takes seconds, cw-check at 2x7 and sparse-en --certify-cw at
+3x7, whose interval homology makes the largest eliminations of the suite.
 
 The 2x4 and 3x5 digests of the first three commands and the dual35 runs were
 recorded from the implementation before integer-weight initial terms, the
 betti and dual47 digests from the numpy Koszul kernel before the
 standard-subset indicator became an int bitset, the rest from the
-label-based face poset before it became an int-mask view of its complex.
+label-based face poset before it became an int-mask view of its complex,
+the 2x7 run at p = 2 and the 3x7 runs from the row elimination before the
+sparse matrices became lists of columns.
 A change that moves any byte of these outputs fails here.  Regenerate them
 only for an intended change of output, and say so.
 """
@@ -233,6 +236,12 @@ GOLDEN = {
         "206957663a2e717aecd206b97a8481fdb537fbad29ca0043158e695514609e4b",
     "cw-check 2x7 diagonal p=32003":
         "1f96dbf53dde98a1ee74c3454f0121140225cc9ee560e0b07d59cdb93c8dcc7c",
+    "cw-check 2x7 diagonal p=2":
+        "6d0b951638a2b21954e763c1e51b0abfa7cd2e0aefc8eeeeb8ed98e4c9142c8c",
+    "sparse-en --certify-cw 3x7 diagonal p=2":
+        "6a74e0590eb7edd6694c04233d37c85b2f00e86a5690ea0d13e73722215b3859",
+    "sparse-en --certify-cw 3x7 diagonal p=32003":
+        "52106682dc7ae9a945af79960296d74b28613cc54b187b317e77699595a59ed5",
 }
 
 
@@ -256,3 +265,14 @@ def test_cli_output_matches_golden(name, prime, tmp_path, capsys, monkeypatch):
 def test_cw_check_2x7_matches_golden(tmp_path, capsys, monkeypatch):
     got = _digest(["cw-check", "-n", "2", "-m", "7"], 32003, tmp_path, capsys, monkeypatch)
     assert got == GOLDEN["cw-check 2x7 diagonal p=32003"]
+
+
+@pytest.mark.parametrize("name, argv, prime", [
+    ("cw-check 2x7 diagonal", ["cw-check", "-n", "2", "-m", "7"], 2),
+    ("sparse-en --certify-cw 3x7 diagonal", ["sparse-en", "--certify-cw", "-n", "3", "-m", "7"], 2),
+    ("sparse-en --certify-cw 3x7 diagonal", ["sparse-en", "--certify-cw", "-n", "3", "-m", "7"],
+     32003),
+])
+def test_largest_interval_homology_runs_match_golden(name, argv, prime, tmp_path, capsys,
+                                                     monkeypatch):
+    assert _digest(argv, prime, tmp_path, capsys, monkeypatch) == GOLDEN[f"{name} p={prime}"]
