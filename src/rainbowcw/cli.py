@@ -251,6 +251,8 @@ def cmd_betti(args) -> int:
     if not isinstance(entries, list) or not all(isinstance(e, str) for e in entries):
         raise ParseError("bad ideal file: expected a JSON array of monomial strings")
     gens = [parse_monomial(e) for e in entries]
+    if len({type(v) for g in gens for v, _ in g.exps}) > 1:
+        raise ParseError("bad ideal file: it mixes grid and plain variables")
     ideal = MonomialIdeal(gens)
     p = _prime(args)
     table = koszul_betti(ideal, p=p)

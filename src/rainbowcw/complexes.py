@@ -150,23 +150,21 @@ class BasedComplex:
 
     def strand_at(self, alpha: Monomial) -> VectorComplex:
         """Vector-space strand in multidegree alpha: retain basis elements
-        whose multidegree divides alpha; matrix entries are the signs."""
-        retained: list[dict[str, int]] = []
-        dims: list[int] = []
-        for layer, mdegs in zip(self._basis, self._layer_mdegs):
-            idx = {layer[k]: n for n, k in enumerate(alpha.divisor_positions(mdegs))}
-            retained.append(idx)
-            dims.append(len(idx))
-        diffs: list[dict[tuple[int, int], int]] = [dict() for _ in dims]
-        for i in range(1, len(dims)):
-            entries: dict[tuple[int, int], int] = {}
-            for src, col in retained[i].items():
-                for tgt, sign in self._out[src]:
-                    row = retained[i - 1].get(tgt)
-                    if row is not None:
-                        entries[(row, col)] = sign
-            diffs[i] = entries
-        return VectorComplex(dims, diffs)
+        whose multidegree divides alpha; a retained element's column holds
+        the signs of its retained targets."""
+        retained: list[dict[str, int]] = [
+            {layer[k]: n for n, k in enumerate(alpha.divisor_positions(mdegs))}
+            for layer, mdegs in zip(self._basis, self._layer_mdegs)
+        ]
+        diffs: list[list[dict[int, int]]] = [[] for _ in retained]
+        out = self._out
+        for i in range(1, len(retained)):
+            below, columns = retained[i - 1], diffs[i]
+            for src in retained[i]:
+                column = {below[t]: sign for t, sign in out[src] if t in below}
+                if column:
+                    columns.append(column)
+        return VectorComplex([len(idx) for idx in retained], diffs)
 
     def relevant_multidegrees(self) -> list[Monomial]:
         """Pairwise-lcm closure of all basis multidegrees in degrees >= 1.

@@ -145,9 +145,12 @@ def order_complex_reduced_homology(
     """
     chains = [0]
 
-    # Chains are listed in depth-first preorder.  The rank elimination's
-    # fill-in follows the order of rows and columns, and a stack order made
-    # the ranks of cw-check at 2x7 twice as slow.
+    # Chains are listed in depth-first preorder, so each chain's faces come
+    # before it and near it.  The elimination reduces each boundary column
+    # against pivots keyed by its largest row, and its fill-in follows the
+    # order of rows and columns: listed in stack order instead, the same
+    # chains made the CW certificate of cw-check at 2x7 take 1.25-1.59 s
+    # instead of 0.76-0.85 s.
     def extend(chain: int, above: int) -> None:
         for z in _bits(above):
             longer = chain | 1 << z

@@ -1,11 +1,14 @@
 """Exact linear algebra over a prime field GF(p).
 
 Homology of the vector-space strands is computed from matrix ranks, and
-every rank goes through one elimination: ``sparse_rank_mod_p`` reduces each
-row in turn against a table of pivot rows keyed by their lowest column, over
-plain Python ints.  Strand matrices have entries in {+1, -1}, very low fill
-and many empty or tiny instances, so the cost follows the nonzero entries
-rather than the matrix shape.
+every sparse matrix has one form, from where its entries are made to where
+they are eliminated: the list of its columns, each the boundary of one basis
+element as a {row: value} dict, with no column for a basis element whose
+boundary is empty.  Every rank goes through one elimination:
+``sparse_rank_mod_p`` reduces each column in turn against a table of pivot
+columns keyed by their largest row, over plain Python ints.  Strand matrices
+have entries in {+1, -1}, very low fill and many empty or tiny instances, so
+the cost follows the nonzero entries rather than the matrix shape.
 
 The default prime 32003 is large enough that ranks almost surely agree with
 characteristic-0 ranks at desk scale; certificates are rerun at p = 2 to
@@ -14,7 +17,7 @@ surface characteristic dependence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 from typing import Iterable
@@ -43,49 +46,44 @@ def check_prime(p: int) -> None:
         raise ValueError(f"the modulus must be a prime below 2^31, got {p!r}")
 
 
-def sparse_rank_mod_p(rows: list[dict[int, int]], p: int) -> int:
-    """Rank over GF(p) of the matrix whose rows are {column: value} dicts.
+def sparse_rank_mod_p(columns: list[dict[int, int]], p: int) -> int:
+    """Rank over GF(p) of the matrix whose columns are {row: value} dicts.
 
-    Each row is reduced in turn: while the pivot table holds a row for the
-    row's lowest column, that pivot row is subtracted; when the lowest
-    column is new, the row is stored there, scaled to a leading 1.  The
-    pivot rows are linearly independent and span the rows seen so far, so
-    the rank is the number of pivots.
+    Each column is reduced in turn: while the pivot table holds a column for
+    the column's largest row, that pivot column is subtracted; when the
+    largest row is new, the column is stored there, scaled to a leading 1.
+    This is the column reduction of a boundary matrix with low(j) the
+    largest row of column j (Zomorodian and Carlsson, Computing persistent
+    homology, 2005).  The pivot columns are linearly independent and span
+    the columns seen so far, so the rank is the number of pivots.  Rank is
+    invariant under transposition, so a list of rows gives the same answer.
     """
-    # A pivot is kept as the (column, value) pairs after its leading 1.
+    # A pivot is kept as the (row, value) pairs after its leading 1.
     pivots: dict[int, list[tuple[int, int]]] = {}
-    for given in rows:
-        row = {c: r for c, v in given.items() if (r := v % p)}
-        while row:
-            low = min(row)
-            factor = row.pop(low)
+    for given in columns:
+        column = {r: x for r, v in given.items() if (x := v % p)}
+        while column:
+            low = max(column)
+            factor = column.pop(low)
             pivot = pivots.get(low)
             if pivot is None:
                 inv = pow(factor, -1, p)
-                pivots[low] = [(c, v * inv % p) for c, v in row.items()]
+                pivots[low] = [(r, v * inv % p) for r, v in column.items()]
                 break
-            for c, v in pivot:
-                new = (row.get(c, 0) - factor * v) % p
+            for r, v in pivot:
+                new = (column.get(r, 0) - factor * v) % p
                 if new:
-                    row[c] = new
+                    column[r] = new
                 else:
-                    del row[c]  # a zero needs a nonzero entry to cancel
+                    del column[r]  # a zero needs a nonzero entry to cancel
     return len(pivots)
 
 
-def matrix_rank(entries: dict[tuple[int, int], int], nrows: int, ncols: int, p: int) -> int:
-    """Rank of a sparse integer matrix given as {(row, col): value}."""
+def matrix_rank(columns: list[dict[int, int]], nrows: int, ncols: int, p: int) -> int:
+    """Rank of the ``nrows`` x ``ncols`` integer matrix given by its columns,
+    each a {row: value} dict; a zero column may be left out."""
     check_prime(p)
-    if not entries or nrows == 0 or ncols == 0:
-        return 0
-    rows: dict[int, dict[int, int]] = {}
-    for (i, j), v in entries.items():
-        row = rows.get(i)
-        if row is None:
-            rows[i] = {j: v}
-        else:
-            row[j] = v
-    return sparse_rank_mod_p(list(rows.values()), p)
+    return sparse_rank_mod_p(columns, p)
 
 
 @dataclass
@@ -93,35 +91,30 @@ class VectorComplex:
     """A finite complex of GF(p)-vector spaces with fixed bases.
 
     ``dims[i]`` is the dimension in homological degree i and ``diffs[i]`` the
-    sparse matrix of d_i : C_i -> C_{i-1} as {(target_index, source_index): value};
-    ``diffs[0]`` is unused and kept empty.
+    columns of d_i : C_i -> C_{i-1}: the boundary of each basis element of
+    C_i that has a nonzero one, as {index in C_{i-1}: value}.  ``diffs[0]``
+    is unused and kept empty.
     """
 
     dims: list[int]
-    diffs: list[dict[tuple[int, int], int]] = field(default_factory=list)
+    diffs: list[list[dict[int, int]]]
 
     def __post_init__(self):
-        if not self.diffs:
-            self.diffs = [dict() for _ in self.dims]
         if len(self.diffs) != len(self.dims):
             raise ValueError("diffs must align with dims")
 
-    @property
-    def top(self) -> int:
-        return len(self.dims) - 1
-
-    def rank(self, i: int, p: int) -> int:
-        # Most strands leave most differentials empty; skip the call for them.
-        if i <= 0 or i > self.top or not self.diffs[i]:
-            return 0
-        return matrix_rank(self.diffs[i], self.dims[i - 1], self.dims[i], p)
-
     def homology_ranks(self, p: int) -> list[int]:
-        """dim H_i for i = 0..top.  Raises ValueError unless p is a prime
-        below MAX_PRIME, also when every differential is empty."""
+        """dim H_i in every degree i of ``dims``.  Raises ValueError unless p
+        is a prime below MAX_PRIME, also when every differential is empty."""
         check_prime(p)
-        ranks = [self.rank(i, p) for i in range(self.top + 2)]
-        return [self.dims[i] - ranks[i] - ranks[i + 1] for i in range(self.top + 1)]
+        dims = self.dims
+        # Most strands leave most differentials empty; no rank is taken for them.
+        ranks = [
+            matrix_rank(columns, dims[i - 1], dims[i], p) if i and columns else 0
+            for i, columns in enumerate(self.diffs)
+        ]
+        ranks.append(0)
+        return [dim - ranks[i] - ranks[i + 1] for i, dim in enumerate(dims)]
 
 
 def cell_homology(cells: Iterable[int], top: int, p: int) -> list[int]:
@@ -139,11 +132,12 @@ def cell_homology(cells: Iterable[int], top: int, p: int) -> list[int]:
     for mask in cells:
         layer = by_size[mask.bit_count()]
         layer[mask] = len(layer)
-    diffs: list[dict[tuple[int, int], int]] = [dict() for _ in range(top + 1)]
+    diffs: list[list[dict[int, int]]] = [[] for _ in range(top + 1)]
     for size in range(1, top + 1):
-        entries = diffs[size]
+        columns = diffs[size]
         lower = by_size[size - 1]
-        for mask, col in by_size[size].items():
+        for mask in by_size[size]:
+            column = {}
             sign = 1
             rest = mask
             while rest:
@@ -151,6 +145,8 @@ def cell_homology(cells: Iterable[int], top: int, p: int) -> list[int]:
                 rest ^= low
                 row = lower.get(mask ^ low)
                 if row is not None:
-                    entries[(row, col)] = sign
+                    column[row] = sign
                 sign = -sign
+            if column:
+                columns.append(column)
     return VectorComplex([len(layer) for layer in by_size], diffs).homology_ranks(p)

@@ -245,7 +245,9 @@ _FACTOR = re.compile(r"^x\[(\d+)(?:,(\d+))?\](?:\^(\d+))?$")
 
 
 def parse_monomial(text: str) -> Monomial:
-    """Inverse of :func:`format_monomial`; accepts ``1`` for the unit."""
+    """Inverse of :func:`format_monomial`; accepts ``1`` for the unit.
+    Raises ParseError for a monomial that mixes grid variables ``x[i,j]``
+    with plain ones ``x[i]``, which lie in different rings."""
     text = text.strip()
     if text == "1":
         return Monomial.one()
@@ -258,4 +260,6 @@ def parse_monomial(text: str) -> Monomial:
         i, j, e = match.group(1), match.group(2), match.group(3)
         var: Variable = (int(i), int(j)) if j is not None else int(i)
         exps[var] = exps.get(var, 0) + (int(e) if e else 1)
+    if len({type(v) for v in exps}) > 1:
+        raise ParseError(f"monomial mixes grid and plain variables: {text!r}")
     return Monomial(exps)

@@ -19,7 +19,6 @@ from .complexes import BasedComplex
 from .determinantal import PureComplex, initial_minor
 from .eagon_northcott import sparse_eagon_northcott
 from .errors import AmbiguousEdges, NotChainMap, NotLinear, NotSupported, RainbowError
-from .gfp import DEFAULT_PRIME, matrix_rank
 from .monomials import Monomial, format_monomial
 from .termorders import TermOrder
 
@@ -218,27 +217,18 @@ def induced_subcomplex(cx: BasedComplex, vertex_set) -> BasedComplex:
     return cx.restrict(keep)
 
 
-def strand_via_kernel(
-    cx: BasedComplex, v: str, order: TermOrder | None = None, p: int = DEFAULT_PRIME
-) -> BasedComplex:
+def strand_via_kernel(cx: BasedComplex, v: str, order: TermOrder | None = None) -> BasedComplex:
     """Kernel of the comparison morphism at v, restricted degree by degree.
 
-    The kernel is coordinate exactly when the faces containing v map to
-    linearly independent Koszul generators; the spanning sublist is then the
-    faces avoiding v, and the complex they span is returned.  A
-    non-coordinate kernel aborts rather than inventing a basis."""
+    Each face containing v maps to +-1 times one Koszul generator, the one
+    on its neighbor subset, so the kernel is coordinate exactly when no two
+    faces of a degree share a subset; the spanning sublist is then the faces
+    avoiding v, and the complex they span is returned.  A non-coordinate
+    kernel aborts rather than inventing a basis."""
     q = q_morphism(cx, v, order)
-    subset_index: dict[tuple[str, ...], int] = {}
     for i in range(2, cx.top_degree + 1):
-        entries: dict[tuple[int, int], int] = {}
-        containing = [f for f in cx.labels(i) if f in q.images]
-        subset_index.clear()
-        for col, face in enumerate(containing):
-            c_p, subset = q.images[face]
-            row = subset_index.setdefault(subset, len(subset_index))
-            entries[(row, col)] = c_p
-        rank = matrix_rank(entries, len(subset_index), len(containing), p)
-        if rank != len(containing):
+        subsets = [q.images[f][1] for f in cx.labels(i) if f in q.images]
+        if len(set(subsets)) != len(subsets):
             raise RainbowError(
                 f"kernel of the comparison map is not coordinate in degree {i}"
             )

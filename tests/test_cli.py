@@ -303,7 +303,13 @@ def test_directory_as_input_file(tmp_path, capsys, argv):
     _assert_one_error_line(capsys, "IsADirectoryError")
 
 
-@pytest.mark.parametrize("content", [["x[1,1]", 3], {"x[1,1]": 1}])
+# The two ideals mixing grid and plain variables once exited 1 with a
+# TypeError traceback from sorting the variables of a monomial or the
+# generators of the ideal.
+@pytest.mark.parametrize(
+    "content",
+    [["x[1,1]", 3], {"x[1,1]": 1}, ["x[1] * x[1,1]"], ["x[1]", "x[1,1]"]],
+)
 def test_malformed_ideal_file_is_a_parse_error(tmp_path, capsys, content):
     ideal = tmp_path / "ideal.json"
     ideal.write_text(json.dumps(content))

@@ -145,14 +145,17 @@ def ref_order_complex_reduced_homology(elements, le, p=DEFAULT_PRIME) -> dict[in
         layer[c] = len(layer)
     top = max(by_dim)
     dims = [len(by_dim.get(d, {})) for d in range(-1, top + 1)]
-    diffs: list[dict[tuple[int, int], int]] = [dict() for _ in dims]
+    diffs: list[list[dict[int, int]]] = [[] for _ in dims]
     for d in range(0, top + 1):
         lower = by_dim.get(d - 1, {})
-        for c, col in by_dim.get(d, {}).items():
+        for c in by_dim.get(d, {}):
+            column = {}
             for k in range(len(c)):
                 row = lower.get(c[:k] + c[k + 1 :])
                 if row is not None:
-                    diffs[d + 1][(row, col)] = (-1) ** k
+                    column[row] = (-1) ** k
+            if column:
+                diffs[d + 1].append(column)
     hom = VectorComplex(dims, diffs).homology_ranks(p)
     return {d - 1: hom[d] for d in range(len(hom)) if hom[d]}
 

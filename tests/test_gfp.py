@@ -5,7 +5,10 @@ eliminations: a dense numpy elimination for small matrices and a sparse one
 with Markowitz pivoting for large ones.  Both live on here as references, and
 all three must agree at p = 2, 3 and 32003 on random small matrices and on
 every matrix that the resolution check and the CW certificate build for
-seeded sparse Eagon-Northcott complexes from 2x4 to 3x6.
+seeded sparse Eagon-Northcott complexes from 2x4 to 3x6.  The library's
+matrices are lists of columns; the references read them through
+``_entries`` as {(row, col): value} dicts, and the elimination is also given
+the rows, since the rank of a matrix is the rank of its transpose.
 """
 
 import random
@@ -26,10 +29,15 @@ from rainbowcw.monomials import Monomial
 PRIMES = [2, 3, 32003]
 
 
-def dense_rank_reference(entries, nrows, ncols, p):
+def _entries(columns):
+    """The {(row, col): value} dict of a list of {row: value} columns."""
+    return {(i, j): v for j, column in enumerate(columns) for i, v in column.items()}
+
+
+def dense_rank_reference(columns, nrows, ncols, p):
     """Gaussian elimination on a dense int64 array, one pass per column."""
     a = np.zeros((nrows, ncols), dtype=np.int64)
-    for (i, j), v in entries.items():
+    for (i, j), v in _entries(columns).items():
         a[i, j] = v % p
     r = 0
     for c in range(ncols):
@@ -51,12 +59,12 @@ def dense_rank_reference(entries, nrows, ncols, p):
     return r
 
 
-def markowitz_rank_reference(entries, nrows, ncols, p):
+def markowitz_rank_reference(columns, nrows, ncols, p):
     """Row-dict elimination choosing each pivot to minimize
     (row nonzeros - 1) * (column nonzeros - 1)."""
     alive: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
-    for (i, j), v in entries.items():
+    for (i, j), v in _entries(columns).items():
         if v % p:
             alive.setdefault(i, {})[j] = v % p
             col_rows.setdefault(j, set()).add(i)
@@ -102,14 +110,15 @@ def markowitz_rank_reference(entries, nrows, ncols, p):
     return rank
 
 
-def assert_ranks_agree(entries, nrows, ncols):
+def assert_ranks_agree(columns, nrows, ncols):
     rows: dict[int, dict[int, int]] = {}
-    for (i, j), v in entries.items():
+    for (i, j), v in _entries(columns).items():
         rows.setdefault(i, {})[j] = v
     for p in PRIMES:
-        want = dense_rank_reference(entries, nrows, ncols, p)
-        assert markowitz_rank_reference(entries, nrows, ncols, p) == want
-        assert matrix_rank(entries, nrows, ncols, p) == want, (p, entries)
+        want = dense_rank_reference(columns, nrows, ncols, p)
+        assert markowitz_rank_reference(columns, nrows, ncols, p) == want
+        assert matrix_rank(columns, nrows, ncols, p) == want, (p, columns)
+        assert sparse_rank_mod_p(columns, p) == want
         assert sparse_rank_mod_p(list(rows.values()), p) == want
 
 
@@ -118,11 +127,11 @@ def small_matrices(draw):
     nrows = draw(st.integers(0, 12))
     ncols = draw(st.integers(0, 12))
     if nrows == 0 or ncols == 0:
-        return {}, nrows, ncols
-    # Few positions per row, so empty rows and columns are common.
-    cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
-    entries = draw(st.dictionaries(cells, st.integers(-3, 3), max_size=nrows * ncols // 2 + 1))
-    return entries, nrows, ncols
+        return [], nrows, ncols
+    # Few entries per column, so empty rows and columns are common; zero
+    # entries and all-zero columns are kept.
+    column = st.dictionaries(st.integers(0, nrows - 1), st.integers(-3, 3), max_size=nrows // 2 + 1)
+    return draw(st.lists(column, max_size=ncols)), nrows, ncols
 
 
 @settings(max_examples=300, deadline=None)
@@ -133,22 +142,40 @@ def test_rank_matches_both_references_on_small_matrices(matrix):
 
 def test_rank_of_known_matrices():
     # [[1, 1], [1, -1]] is singular only in characteristic 2.
-    entries = {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1}
-    assert [matrix_rank(entries, 2, 2, p) for p in PRIMES] == [1, 2, 2]
-    # Zero entries, zero rows and a multiple of p are all nothing.
-    assert matrix_rank({(0, 0): 0, (3, 2): 6}, 5, 5, 3) == 0
-    assert matrix_rank({}, 4, 4, 2) == 0
+    columns = [{0: 1, 1: 1}, {0: 1, 1: -1}]
+    assert [matrix_rank(columns, 2, 2, p) for p in PRIMES] == [1, 2, 2]
+    # The edge boundaries of a triangle have rank 2: the third column reduces
+    # to zero through both others.  With every sign +1 that happens only at
+    # p = 2.
+    triangle = [{0: -1, 1: 1}, {1: -1, 2: 1}, {0: -1, 2: 1}]
+    assert [matrix_rank(triangle, 3, 3, p) for p in PRIMES] == [2, 2, 2]
+    assert [matrix_rank([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], 3, 3, p)
+            for p in PRIMES] == [2, 3, 3]
+    # Zero entries, zero columns and a multiple of p are all nothing.
+    assert matrix_rank([{0: 0}, {3: 6}], 5, 5, 3) == 0
+    assert matrix_rank([], 4, 4, 2) == 0
     assert sparse_rank_mod_p([{}, {5: 3}, {5: -3}], 32003) == 1
 
 
+def test_a_strand_with_empty_layers_keeps_one_differential_per_degree():
+    cx = _koszul_on_two_variables()
+    strand = cx.strand_at(Monomial.one())
+    assert strand.dims == [1, 0, 0] and strand.diffs == [[], [], []]
+    assert strand.homology_ranks(2) == [1, 0, 0]
+    strand = cx.strand_at(Monomial({1: 1}))
+    assert strand.dims == [1, 1, 0] and strand.diffs == [[], [{0: 1}], []]
+    assert strand.homology_ranks(32003) == [0, 0, 0]
+
+
 def recorded_matrices(monkeypatch, run):
-    """Every (entries, nrows, ncols) that ``run`` hands to gfp.matrix_rank,
+    """Every (columns, nrows, ncols) that ``run`` hands to gfp.matrix_rank,
     each distinct matrix once."""
     seen: dict = {}
 
-    def recorder(entries, nrows, ncols, p):
-        seen[(frozenset(entries.items()), nrows, ncols)] = (dict(entries), nrows, ncols)
-        return original(entries, nrows, ncols, p)
+    def recorder(columns, nrows, ncols, p):
+        key = (tuple(frozenset(c.items()) for c in columns), nrows, ncols)
+        seen[key] = ([dict(c) for c in columns], nrows, ncols)
+        return original(columns, nrows, ncols, p)
 
     original = gfp.matrix_rank
     monkeypatch.setattr(gfp, "matrix_rank", recorder)
@@ -197,9 +224,11 @@ def _koszul_on_two_variables():
 @pytest.mark.parametrize("p", [1, 4, 6])
 def test_bad_prime_raises_in_the_library(p):
     with pytest.raises(ValueError, match="prime"):
-        matrix_rank({(0, 0): 1}, 1, 1, p)
+        matrix_rank([{0: 1}], 1, 1, p)
     with pytest.raises(ValueError, match="prime"):
-        VectorComplex([1, 1], [{}, {(0, 0): 1}]).homology_ranks(p)
+        VectorComplex([1, 1], [[], [{0: 1}]]).homology_ranks(p)
+    with pytest.raises(ValueError, match="prime"):
+        VectorComplex([1, 1], [[], []]).homology_ranks(p)
     with pytest.raises(ValueError, match="prime"):
         _koszul_on_two_variables().is_resolution(p)
     with pytest.raises(ValueError, match="prime"):

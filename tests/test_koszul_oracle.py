@@ -55,16 +55,18 @@ def reference_strand_homology(ideal, alpha, p):
     index = [{mask: k for k, mask in enumerate(layer)} for layer in layers]
     ranks = [0] * (s + 2)
     for i in range(1, s + 1):
-        entries = {}
-        for col, mask in enumerate(layers[i]):
+        columns = []
+        for mask in layers[i]:
+            column = {}
             sign = 1
             for k in range(s):
                 if mask >> k & 1:
                     row = index[i - 1].get(mask ^ (1 << k))
                     if row is not None:
-                        entries[(row, col)] = sign
+                        column[row] = sign
                     sign = -sign
-        ranks[i] = matrix_rank(entries, len(layers[i - 1]), len(layers[i]), p)
+            columns.append(column)
+        ranks[i] = matrix_rank(columns, len(layers[i - 1]), len(layers[i]), p)
     return [len(layers[i]) - ranks[i] - ranks[i + 1] for i in range(s + 1)]
 
 

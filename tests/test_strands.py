@@ -24,7 +24,8 @@ from rainbowcw import (
     strand_via_kernel,
     support_chain,
 )
-from rainbowcw.errors import AmbiguousEdges, NotSupported
+from rainbowcw.errors import AmbiguousEdges, NotSupported, RainbowError
+from rainbowcw.gfp import matrix_rank
 
 
 def complexes_equal(a: BasedComplex, b: BasedComplex) -> bool:
@@ -210,6 +211,65 @@ def test_kernel_equals_restriction_sweep():
             ker = strand_via_kernel(cx, v, order)
             ind = induced_subcomplex(cx, set(cx.labels(1)) - {v})
             assert complexes_equal(ker, ind)
+
+
+def kernel_is_coordinate_by_rank(cx, v, order, p):
+    """The rank formulation ``strand_via_kernel`` replaced: in each degree the
+    images of the faces containing v, as columns over the Koszul generators
+    they hit, are linearly independent over GF(p)."""
+    q = q_morphism(cx, v, order)
+    for i in range(2, cx.top_degree + 1):
+        containing = [f for f in cx.labels(i) if f in q.images]
+        rows: dict[tuple[str, ...], int] = {}
+        columns = []
+        for face in containing:
+            c_p, subset = q.images[face]
+            columns.append({rows.setdefault(subset, len(rows)): c_p})
+        if matrix_rank(columns, len(rows), len(containing), p) != len(containing):
+            return False
+    return True
+
+
+def kernel_is_coordinate(cx, v, order=None):
+    try:
+        strand_via_kernel(cx, v, order)
+    except RainbowError as exc:
+        if "not coordinate" not in str(exc):
+            raise
+        return False
+    return True
+
+
+def _bigon():
+    """Two vertices joined by two edges of one multidegree, with opposite
+    signs: both edges map to the one Koszul generator on {w}."""
+    x1, x2, x12 = (parse_monomial(t) for t in ("x[1]", "x[2]", "x[1] * x[2]"))
+    return BasedComplex(
+        [[("1", Monomial.one())], [("v", x1), ("w", x2)], [("e1", x12), ("e2", x12)]],
+        {("v", "1"): 1, ("w", "1"): 1,
+         ("e1", "v"): 1, ("e1", "w"): -1, ("e2", "v"): -1, ("e2", "w"): 1},
+    )
+
+
+def test_a_bigon_has_no_coordinate_kernel():
+    cx = _bigon()
+    assert cx.check_complex()
+    with pytest.raises(RainbowError, match="not coordinate in degree 2"):
+        strand_via_kernel(cx, "v")
+    for p in (2, 32003):
+        assert not kernel_is_coordinate_by_rank(cx, "v", None, p)
+
+
+@pytest.mark.parametrize("n,m", [(2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6)])
+def test_distinct_subsets_decide_the_kernel_as_the_rank_did(n, m):
+    rng = random.Random(100 * n + m)
+    for order in (diagonal_order(n, m), random_term_order(n, m, rng),
+                  random_term_order(n, m, rng)):
+        cx = sparse_eagon_northcott(order)
+        for v in cx.labels(1):
+            verdict = kernel_is_coordinate(cx, v, order)
+            for p in (2, 32003):
+                assert kernel_is_coordinate_by_rank(cx, v, order, p) == verdict, (v, p)
 
 
 def test_induced_subcomplex(order35, delta35):
