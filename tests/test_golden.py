@@ -5,7 +5,10 @@ each side file by name), each at p = 2 and p = 32003, for
   the diagonal order and a committed weight order per size;
 - sparse-en --export dot at 2x4 and 3x5 under both orders;
 - strand --betti-csv and polarize --summary-csv on the worked 3x5 dual;
-- experiment --mode free-vertex-orders at 3x5;
+- experiment --mode free-vertex-orders at 3x5, and --mode
+  free-seq-necessity at 3x6 with and without --random-orders;
+- free-seq on the worked 3x5 dual and on a 15-facet 3x6 dual with no free
+  sequence (``data/dual36_none.json``);
 - betti on a non-squarefree ideal in a plain polynomial ring
   (``data/ideal_plain.json``) and strand --betti-csv on the 4x7 dual
   ``[[1,2,3,4]]`` (``data/dual47.json``);
@@ -19,7 +22,9 @@ betti and dual47 digests from the numpy Koszul kernel before the
 standard-subset indicator became an int bitset, the rest from the
 label-based face poset before it became an int-mask view of its complex,
 the 2x7 run at p = 2 and the 3x7 runs from the row elimination before the
-sparse matrices became lists of columns.
+sparse matrices became lists of columns, and the free-seq and
+free-seq-necessity runs from the search that counted facets per target
+before it shared the one free-vertex test.
 A change that moves any byte of these outputs fails here.  Regenerate them
 only for an intended change of output, and say so.
 """
@@ -69,6 +74,14 @@ RUNS["polarize --summary-csv dual35"] = [
 RUNS["betti ideal_plain"] = ["betti", "--ideal-file", str(DATA / "ideal_plain.json")]
 RUNS["strand --betti-csv dual47"] = [
     "strand", "--dual-file", str(DATA / "dual47.json"), "--betti-csv", "{tmp}/betti.csv"]
+RUNS["free-seq dual35"] = ["free-seq", "--dual-file", str(DATA / "dual35.json")]
+RUNS["free-seq dual36_none"] = ["free-seq", "--dual-file", str(DATA / "dual36_none.json")]
+RUNS.update(
+    (f"experiment free-seq-necessity 3x6 {'random orders' if random_orders else 'diagonal'}",
+     ["experiment", "-n", "3", "-m", "6", "--mode", "free-seq-necessity",
+      "--samples", "5", "--seed", "1", *(["--random-orders"] if random_orders else [])])
+    for random_orders in (False, True)
+)
 RUNS["cw-check 2x7 diagonal"] = _sized(["cw-check"], 2, 7, False)
 RUNS["sparse-en --certify-cw 3x7 diagonal"] = _sized(["sparse-en", "--certify-cw"], 3, 7, False)
 
@@ -245,6 +258,22 @@ GOLDEN = {
         "6a74e0590eb7edd6694c04233d37c85b2f00e86a5690ea0d13e73722215b3859",
     "sparse-en --certify-cw 3x7 diagonal p=32003":
         "52106682dc7ae9a945af79960296d74b28613cc54b187b317e77699595a59ed5",
+    "free-seq dual35 p=2":
+        "5f6d44db9bebb1b876038edd4f30e0d723f34962ad269880d845e10728f15bda",
+    "free-seq dual35 p=32003":
+        "3a48e43af1aa77b89d6e3ce1ea2a77266f1216e10a5550c61ca478baf173b76a",
+    "free-seq dual36_none p=2":
+        "f1df7bc139b332e1f5dea7d4293f8f14fceee23ef0db594e643d1a26411e2b65",
+    "free-seq dual36_none p=32003":
+        "b0f60f6c3274ccf2a48f7790e1ed89b29d4ce5be88d7516357aefb1d2fd6facd",
+    "experiment free-seq-necessity 3x6 diagonal p=2":
+        "367bfba11cdb16c07672cecb1048c515e1ee866aeb0405a524f221f8afa5058e",
+    "experiment free-seq-necessity 3x6 diagonal p=32003":
+        "caad768fe308b9a29ca5362ca6b5db589bbe16deafb5470368a6ed4cec9072b7",
+    "experiment free-seq-necessity 3x6 random orders p=2":
+        "a3d7ff0cc6d766fe4cf98e8a65ee037dbef393365cd6b64751f4fc0621edea12",
+    "experiment free-seq-necessity 3x6 random orders p=32003":
+        "f4fb8d8e28d1b2d7a6b87877c51f44f5e07f22d0e1ccc4a0860aaad31489e225",
 }
 
 
