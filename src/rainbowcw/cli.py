@@ -35,7 +35,7 @@ from .errors import ParseError, RainbowError, SizeCap
 from .gfp import DEFAULT_PRIME, is_valid_modulus
 from .ideals import MonomialIdeal
 from .monomials import format_monomial, parse_monomial
-from .polarization import certify_polarization, find_free_sequence, free_vertices
+from .polarization import FreeSequenceReport, certify_polarization, find_free_sequence, free_vertices
 from .strands import rainbow_linear_strand, vertex_label
 from .termorders import TermOrder, diagonal_order
 
@@ -189,6 +189,12 @@ def _ideal_json(ideal: MonomialIdeal) -> list[str]:
     return [format_monomial(g) for g in ideal.gens]
 
 
+def _dual_free_sequence(cx, order: TermOrder, dual: PureComplex) -> FreeSequenceReport:
+    """The free-sequence search on ``cx`` for the vertices that label the
+    facets of ``dual`` under ``order``."""
+    return find_free_sequence(cx, [vertex_label(order, f) for f in dual.sorted_facets()])
+
+
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -271,8 +277,7 @@ def cmd_free_seq(args) -> int:
     dual = _load_pure_complex(args.dual_file)
     _check_size(dual.n, dual.m, args.force)
     order = _load_order(args, dual.n, dual.m)
-    cx = sparse_eagon_northcott(order)
-    report = find_free_sequence(cx, [vertex_label(order, f) for f in dual.sorted_facets()])
+    report = _dual_free_sequence(sparse_eagon_northcott(order), order, dual)
     manifest = RunManifest(
         "free-seq", dual.n, dual.m, order.to_json(), p,
         [list(f) for f in dual.sorted_facets()],
@@ -295,9 +300,7 @@ def cmd_polarize(args) -> int:
     )
     if args.summary_csv:
         dual = alexander_dual_complex(delta)
-        cx = sparse_eagon_northcott(order)
-        targets = [vertex_label(order, f) for f in dual.sorted_facets()]
-        free = find_free_sequence(cx, targets).found
+        free = _dual_free_sequence(sparse_eagon_northcott(order), order, dual).found
         _emit_csv(
             ["n", "m", "r", "linear", "free_seq", "polarization", "power_of_max"],
             [[report.n, report.m, report.r, int(report.linear), int(free),
@@ -349,8 +352,7 @@ def cmd_experiment(args) -> int:
             linear = table.rows_present() <= {0, n - 1}
             if args.random_orders:
                 cx = sparse_eagon_northcott(order)
-            targets = [vertex_label(order, f) for f in dual.sorted_facets()]
-            free = find_free_sequence(cx, targets).found
+            free = _dual_free_sequence(cx, order, dual).found
             rows.append([k, n, m, len(dual), int(linear), int(free)])
     elif args.mode == "free-vertex-orders":
         # For the given facets, how often does a random order make them all

@@ -96,18 +96,6 @@ class FacePoset:
         """Elements covering x that lie below y, sorted by label."""
         return self.labels_of(self.upper[self.index[x]] & self.down[self.index[y]])
 
-    def vertices(self) -> list[str]:
-        return list(self.cx.labels(1))
-
-    def facets_containing(self, x: str) -> list[str]:
-        """The maximal elements above x, sorted by label; none when x is not
-        an element, such as a vertex already deleted."""
-        if x not in self.index:
-            return []
-        return self.labels_of(
-            sum(1 << k for k in _bits(self.up[self.index[x]]) if not self.upper[k])
-        )
-
 
 def face_poset(cx: BasedComplex) -> FacePoset:
     """The face poset of a based complex: one element per basis label, ordered

@@ -11,7 +11,7 @@ along a regular sequence of variable differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 from typing import Sequence
@@ -37,14 +37,15 @@ from .termorders import TermOrder
 
 def free_vertices(poset: FacePoset) -> set[str]:
     """Vertices contained in exactly one maximal face."""
-    return {v for v in poset.vertices() if len(poset.facets_containing(v)) == 1}
+    facets = sum(1 << k for k, above in enumerate(poset.upper) if not above)
+    up, index = poset.up, poset.index
+    return {v for v in poset.cx.labels(1) if (up[index[v]] & facets).bit_count() == 1}
 
 
 @dataclass
 class FreeSequenceReport:
     targets: tuple[str, ...]
     ordering: tuple[str, ...] | None
-    steps: list[tuple[str, int]] = field(default_factory=list)  # (vertex, facet count)
 
     @property
     def found(self) -> bool:
@@ -54,7 +55,7 @@ class FreeSequenceReport:
         return {
             "targets": list(self.targets),
             "ordering": list(self.ordering) if self.ordering else None,
-            "steps": [{"vertex": v, "facets": c} for v, c in self.steps],
+            "steps": [{"vertex": v, "facets": 1} for v in self.ordering or ()],
             "found": self.found,
         }
 
@@ -64,8 +65,7 @@ def replay_free_sequence(cx: BasedComplex, ordering) -> bool:
     unique facet at its turn."""
     current = cx
     for v in ordering:
-        poset = face_poset(current)
-        if len(poset.facets_containing(v)) != 1:
+        if v not in free_vertices(face_poset(current)):
             return False
         current = induced_subcomplex(current, set(current.labels(1)) - {v})
     return True
@@ -87,14 +87,11 @@ def find_free_sequence(cx: BasedComplex, targets) -> FreeSequenceReport:
 
     def search(complex_: BasedComplex, remaining: tuple[str, ...]):
         if not remaining:
-            return []
-        poset = face_poset(complex_)
-        counts = {v: len(poset.facets_containing(v)) for v in remaining}
-        # most constrained first: free vertices whose deletion is forced
-        candidates = sorted(
-            (v for v in remaining if counts[v] == 1), key=lambda v: (counts[v], v)
-        )
-        for v in candidates:
+            return ()
+        free = free_vertices(face_poset(complex_))
+        for v in remaining:
+            if v not in free:
+                continue
             rest = tuple(w for w in remaining if w != v)
             if rest in failed:
                 continue
@@ -103,16 +100,11 @@ def find_free_sequence(cx: BasedComplex, targets) -> FreeSequenceReport:
             )
             tail = search(smaller, rest)
             if tail is not None:
-                return [(v, counts[v])] + tail
+                return (v,) + tail
         failed.add(remaining)
         return None
 
-    result = search(cx, targets)
-    if result is None:
-        return FreeSequenceReport(targets, None)
-    return FreeSequenceReport(
-        targets, tuple(v for v, _ in result), [(v, c) for v, c in result]
-    )
+    return FreeSequenceReport(targets, search(cx, targets))
 
 
 # -- the linearity criterion ------------------------------------------------

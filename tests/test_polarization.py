@@ -29,7 +29,7 @@ from rainbowcw import (
 from rainbowcw.determinantal import random_overlap_dual, random_pure_complex
 from rainbowcw.errors import SetupViolated
 from rainbowcw.monomials import format_monomial
-from rainbowcw.polarization import FreeSequenceReport
+from rainbowcw.polarization import FreeSequenceReport, replay_free_sequence
 from rainbowcw.strands import induced_subcomplex
 
 
@@ -64,7 +64,7 @@ def test_find_free_sequence(order35, dual35):
     targets = [format_monomial(initial_minor(order35, f)) for f in dual35.sorted_facets()]
     report = find_free_sequence(cx, targets)
     assert report.found and set(report.ordering) == set(targets)
-    assert all(count == 1 for _, count in report.steps)
+    assert replay_free_sequence(cx, report.ordering)
 
     assert find_free_sequence(cx, []).found
 
@@ -232,8 +232,6 @@ def test_free_vertex_deletion_2x4(order24_left):
 
 
 def test_every_order_free_sequence_when_linear(order35, dual35, delta35):
-    from rainbowcw.polarization import replay_free_sequence
-
     cx = sparse_eagon_northcott(order35)
     targets = [format_monomial(initial_minor(order35, f)) for f in dual35.sorted_facets()]
     assert linearity_criterion(delta35, order35)
@@ -250,11 +248,20 @@ class _OverBudget(Exception):
     pass
 
 
+def ref_facet_counts(cx, vertices):
+    """How many facets contain each vertex, counted from the complex itself
+    rather than its face poset: a facet is a label that is no entry's target,
+    and it contains v when its vertex support does."""
+    targets = {t for x in cx.all_labels() for t, _ in cx.out_entries(x)}
+    facets = [x for x in cx.all_labels() if x not in targets]
+    return {v: sum(v in cx.vertex_support(f) for f in facets) for v in vertices}
+
+
 def ref_find_free_sequence(cx, targets, budget):
     """The backtracking search without a memo, giving up (``_OverBudget``)
     after ``budget`` search nodes: it is exponential in the targets.  Also
-    returns the search states (remaining targets) it built a face poset for,
-    in visiting order."""
+    returns the search states (remaining targets) it counted facets at, in
+    visiting order."""
     targets = tuple(sorted(targets))
     visited = []
 
@@ -264,8 +271,7 @@ def ref_find_free_sequence(cx, targets, budget):
         visited.append(remaining)
         if len(visited) > budget:
             raise _OverBudget
-        poset = face_poset(complex_)
-        counts = {v: len(poset.facets_containing(v)) for v in remaining}
+        counts = ref_facet_counts(complex_, remaining)
         candidates = sorted(
             (v for v in remaining if counts[v] == 1), key=lambda v: (counts[v], v)
         )
@@ -280,8 +286,7 @@ def ref_find_free_sequence(cx, targets, budget):
     result = search(cx, targets)
     if result is None:
         return FreeSequenceReport(targets, None), visited
-    report = FreeSequenceReport(targets, tuple(v for v, _ in result), list(result))
-    return report, visited
+    return FreeSequenceReport(targets, tuple(v for v, _ in result)), visited
 
 
 def _free_seq_cases():
@@ -334,6 +339,21 @@ def test_memoized_free_sequence_matches_the_plain_search(monkeypatch):
     assert sum(1 for r, found in compared if r >= 13 and found) >= 5
     assert sum(1 for r, found in compared if r >= 13 and not found) >= 3
     assert repeated >= 3
+
+
+@pytest.mark.parametrize("n,m", [(2, 4), (2, 5), (3, 5), (2, 6), (3, 6)])
+def test_free_vertices_match_the_facet_counts_of_the_complex(n, m):
+    # The one free-vertex test, on EN complexes and induced subcomplexes
+    # (the states of the free-sequence search), against facets counted from
+    # the complex's own entries.
+    rng = random.Random(f"free vertices {n}x{m}")
+    for order in [diagonal_order(n, m)] + [random_term_order(n, m, rng) for _ in range(2)]:
+        cx = sparse_eagon_northcott(order)
+        verts = list(cx.labels(1))
+        for k in [0] + [rng.randint(1, len(verts) - 1) for _ in range(4)]:
+            sub = induced_subcomplex(cx, set(verts) - set(rng.sample(verts, k)))
+            counts = ref_facet_counts(sub, sub.labels(1))
+            assert free_vertices(face_poset(sub)) == {v for v, c in counts.items() if c == 1}
 
 
 @pytest.mark.parametrize("n,m", [(2, 5), (3, 5), (3, 6)])
