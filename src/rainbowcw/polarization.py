@@ -54,7 +54,7 @@ class FreeSequenceReport:
     def to_json(self) -> dict:
         return {
             "targets": list(self.targets),
-            "ordering": list(self.ordering) if self.ordering else None,
+            "ordering": None if self.ordering is None else list(self.ordering),
             "steps": [{"vertex": v, "facets": 1} for v in self.ordering or ()],
             "found": self.found,
         }

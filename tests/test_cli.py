@@ -102,6 +102,15 @@ def test_free_seq_cmd(tmp_path, capsys):
     assert data["found"] is True and len(data["ordering"]) == 2
 
 
+def test_free_seq_of_an_empty_dual_is_the_empty_ordering(tmp_path, capsys):
+    # The empty ordering once printed as "ordering": null beside "found": true.
+    dual = tmp_path / "dual.json"
+    dual.write_text(json.dumps({"n": 2, "m": 4, "facets": []}))
+    assert run(["free-seq", "--dual-file", str(dual)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["found"] is True and data["ordering"] == [] and data["steps"] == []
+
+
 def test_polarize_cmd(tmp_path):
     dual = tmp_path / "dual.json"
     dual.write_text(json.dumps({"n": 3, "m": 5, "facets": [[1, 2, 3], [3, 4, 5]]}))
