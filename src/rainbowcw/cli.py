@@ -328,6 +328,8 @@ def cmd_cw_check(args) -> int:
 
 def cmd_experiment(args) -> int:
     _check_size(args.n, args.m, args.force)
+    if args.samples < 0:
+        raise RainbowError(f"--samples must be at least 0, got {args.samples}")
     rng = random.Random(args.seed)
     p = _prime(args)
     n, m = args.n, args.m

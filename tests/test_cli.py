@@ -158,6 +158,15 @@ def test_experiment_determinism(tmp_path):
         assert not (linear == "1" and free == "0")
 
 
+@pytest.mark.parametrize("mode", ["free-seq-necessity", "free-vertex-orders"])
+def test_experiment_negative_samples_rejected(capsys, mode):
+    # --samples -3 once exited 0 with a header-only table.
+    argv = ["experiment", "-n", "2", "-m", "4", "--mode", mode, "--samples", "-3",
+            "--targets", "1,2"]
+    assert run(argv) == 2
+    _assert_one_error_line(capsys, "RainbowError")
+
+
 def test_experiment_free_vertex_orders(tmp_path):
     out = tmp_path / "fvo.csv"
     assert run([
