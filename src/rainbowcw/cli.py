@@ -342,6 +342,7 @@ def cmd_experiment(args) -> int:
         if not args.random_orders:
             order = diagonal_order(n, m)
             cx = sparse_eagon_northcott(order)
+            manifest.order = order.to_json()
         for k in range(args.samples):
             dual = random_pure_complex(n, m, rng, rng.randint(0, comb(m, n)))
             delta = alexander_dual_complex(dual)

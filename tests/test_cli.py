@@ -158,6 +158,21 @@ def test_experiment_determinism(tmp_path):
         assert not (linear == "1" and free == "0")
 
 
+def test_experiment_manifest_records_the_diagonal_order(tmp_path):
+    # The diagonal and the random-order runs once wrote equal manifests
+    # above different rows.
+    base = ["experiment", "-n", "3", "-m", "5", "--mode", "free-seq-necessity",
+            "--samples", "6", "--seed", "2"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(base + ["-o", str(a)]) == 0
+    assert run(base + ["--random-orders", "-o", str(b)]) == 0
+    diagonal = json.loads(a.read_text().splitlines()[0].removeprefix("# manifest: "))
+    random_orders = json.loads(b.read_text().splitlines()[0].removeprefix("# manifest: "))
+    assert diagonal != random_orders
+    assert diagonal["order"] == rainbowcw.diagonal_order(3, 5).to_json()
+    assert random_orders["order"] is None
+
+
 @pytest.mark.parametrize("mode", ["free-seq-necessity", "free-vertex-orders"])
 def test_experiment_negative_samples_rejected(capsys, mode):
     # --samples -3 once exited 0 with a header-only table.
