@@ -23,8 +23,9 @@ from rainbowcw import (
     sparse_eagon_northcott,
     strand_via_kernel,
     support_chain,
+    taylor_complex,
 )
-from rainbowcw.errors import AmbiguousEdges, NotSupported, RainbowError
+from rainbowcw.errors import AmbiguousEdges, NotChainMap, NotLinear, NotSupported, RainbowError
 from rainbowcw.gfp import matrix_rank
 
 
@@ -428,3 +429,52 @@ def test_support_chain_rejects_a_context_for_another_vertex():
     other = neighbors(cx, "x[1,2] * x[2,3]", o)
     with pytest.raises(ValueError):
         support_chain(cx, edge, "x[1,1] * x[2,3]", o, context=other)
+
+
+def _with_one_sign_flipped(cx: BasedComplex, src: str, tgt: str) -> BasedComplex:
+    basis = [[(l, cx.mdeg(l)) for l in cx.labels(i)] for i in cx.degrees()]
+    diff = {(s, t): sign for s in cx.all_labels() for t, sign in cx.out_entries(s)}
+    diff[(src, tgt)] = -diff[(src, tgt)]
+    return BasedComplex(basis, diff)
+
+
+@pytest.mark.parametrize("n,m,flips,detections", [(2, 4, 26, 36), (3, 5, 51, 72)])
+def test_every_single_sign_flip_breaks_the_comparison_square(n, m, flips, detections):
+    # a flipped entry of degree >= 2 changes Q o d or d^K o Q at a face that
+    # contains some vertex, so the morphism there is no chain map
+    order = diagonal_order(n, m)
+    cx = sparse_eagon_northcott(order)
+    entries = [
+        (src, tgt)
+        for src in cx.all_labels()
+        if cx.degree_of(src) >= 2
+        for tgt, _ in cx.out_entries(src)
+    ]
+    assert len(entries) == flips
+    caught = 0
+    for src, tgt in entries:
+        broken = _with_one_sign_flipped(cx, src, tgt)
+        hits = 0
+        for v in broken.labels(1):
+            try:
+                q_morphism(broken, v, order)
+            except NotChainMap:
+                hits += 1
+        assert hits >= 1, (src, tgt)
+        caught += hits
+    assert caught == detections
+
+
+def test_a_nonlinear_edge_has_no_neighbors():
+    x12, x34 = parse_monomial("x[1] * x[2]"), parse_monomial("x[3] * x[4]")
+    cx = taylor_complex([x12, x34])
+    with pytest.raises(NotLinear):
+        neighbors(cx, "e(0)")
+    assert not is_linearly_connected(cx, "e(0)")
+
+
+def test_neighbors_of_an_edge_are_refused():
+    o = diagonal_order(2, 3)
+    cx = sparse_eagon_northcott(o)
+    with pytest.raises(ValueError, match="not a degree-1 basis element"):
+        neighbors(cx, cx.labels(2)[0], o)
