@@ -529,10 +529,10 @@ def linear_strand(cx: BasedComplex) -> BasedComplex:
     if not firsts:
         return cx
     d = min(cx.mdeg(l).degree for l in firsts)
-    keep = [l for l in cx.labels(0)]
-    for i in range(1, cx.top_degree + 1):
-        keep.extend(l for l in cx.labels(i) if cx.mdeg(l).degree == d + i - 1)
-    return cx.restrict(keep)
+    return cx.restrict(
+        l for l in cx.all_labels()
+        if cx.degree_of(l) == 0 or cx.mdeg(l).degree == d + cx.degree_of(l) - 1
+    )
 
 
 def is_linear_strand_of_module(cx: BasedComplex, p: int = DEFAULT_PRIME) -> bool:

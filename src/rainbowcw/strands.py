@@ -33,10 +33,6 @@ class VertexContext:
     labels: dict[str, Monomial]  # neighbor -> variable m_{v,v'} / m_v
 
 
-def _edge_support(cx: BasedComplex, edge: str) -> tuple[str, ...]:
-    return tuple(t for t, _ in cx.out_entries(edge))
-
-
 def neighbors(cx: BasedComplex, v: str, order: TermOrder | None = None) -> VertexContext:
     """Neighbors of a vertex: endpoints of the degree-2 elements whose
     boundary contains v, labeled by the quotient variables."""
@@ -45,7 +41,7 @@ def neighbors(cx: BasedComplex, v: str, order: TermOrder | None = None) -> Verte
     m_v = cx.mdeg(v)
     labels: dict[str, Monomial] = {}
     for edge in cx.labels(2):
-        supp = _edge_support(cx, edge)
+        supp = cx.support(edge)
         if v not in supp:
             continue
         label = cx.mdeg(edge) / m_v
@@ -57,11 +53,8 @@ def neighbors(cx: BasedComplex, v: str, order: TermOrder | None = None) -> Verte
             if w in labels and labels[w] != label:
                 raise AmbiguousEdges(f"vertices {v}, {w} joined by edges with different labels")
             labels[w] = label
-    if order is not None:
-        ordered = sorted(labels, key=lambda w: order.sort_key(labels[w]))
-    else:
-        ordered = sorted(labels, key=lambda w: labels[w].sort_key())
-    return VertexContext(v, tuple(ordered), labels)
+    key = Monomial.sort_key if order is None else order.sort_key
+    return VertexContext(v, tuple(sorted(labels, key=lambda w: key(labels[w]))), labels)
 
 
 @dataclass
@@ -93,32 +86,28 @@ def support_chain(
         raise ValueError(f"context is for vertex {ctx.vertex!r}, not {v!r}")
     if v not in cx.vertex_support(face):
         raise NotSupported(f"vertex {v} does not lie on {face}")
+
+    def met(q: str) -> list[str]:  # the neighbors of v on q, in ctx.neighbors order
+        vsupp = cx.vertex_support(q)
+        return [w for w in ctx.neighbors if w in vsupp]
+
     dim = cx.degree_of(face) - 1
-    met = [w for w in ctx.neighbors if w in cx.vertex_support(face)]
-    if len(met) != dim:
-        raise RainbowError(
-            f"face {face} of dimension {dim} meets {len(met)} neighbors of {v}"
-        )
+    remaining = met(face)
+    if len(remaining) != dim:
+        raise RainbowError(f"face {face} of dimension {dim} meets {len(remaining)} neighbors of {v}")
     chain = [face]
-    current = face
-    remaining = list(met)
     while remaining:
-        remaining.pop(0)  # the smallest remaining neighbor leaves the chain
-        want = set(remaining)
+        remaining = remaining[1:]  # the smallest remaining neighbor leaves the chain
         candidates = [
-            q
-            for q in cx.support(current)
-            if v in cx.vertex_support(q)
-            and {w for w in ctx.neighbors if w in cx.vertex_support(q)} == want
+            q for q in cx.support(chain[-1]) if v in cx.vertex_support(q) and met(q) == remaining
         ]
         if len(candidates) != 1:
             raise RainbowError(
-                f"face {current}: {len(candidates)} codimension-1 faces meet the neighbors of {v} in {sorted(want)}"
+                f"face {chain[-1]}: {len(candidates)} codimension-1 faces meet the neighbors of {v} in {sorted(remaining)}"
             )
-        current = candidates[0]
-        chain.append(current)
-    if current != v:
-        raise RainbowError(f"support chain of {face} ended at {current}, not {v}")
+        chain.append(candidates[0])
+    if chain[-1] != v:
+        raise RainbowError(f"support chain of {face} ended at {chain[-1]}, not {v}")
     return SupportChain(v, tuple(chain))
 
 
@@ -145,60 +134,36 @@ def q_morphism(cx: BasedComplex, v: str, order: TermOrder | None = None) -> QMor
     """Build the comparison morphism and verify the commuting square in every
     homological degree >= 2; a mismatch raises NotChainMap."""
     ctx = neighbors(cx, v, order)
-    pos_of = {w: k for k, w in enumerate(ctx.neighbors)}
-
     images: dict[str, tuple[int, tuple[str, ...]]] = {}
-    for i in range(1, cx.top_degree + 1):
-        for face in cx.labels(i):
-            vsupp = cx.vertex_support(face)
-            if v not in vsupp:
-                continue
-            if i == 1:
-                images[face] = (1, ())
-                continue
+    for face in cx.all_labels():
+        vsupp = cx.vertex_support(face)
+        if v not in vsupp:
+            continue
+        if face == v:
+            images[face] = (1, ())
+        else:
             chain = support_chain(cx, face, v, order, context=ctx)
-            subset = tuple(sorted((w for w in ctx.neighbors if w in vsupp), key=pos_of.get))
-            images[face] = (chain_sign(cx, chain), subset)
+            images[face] = (chain_sign(cx, chain), tuple(w for w in ctx.neighbors if w in vsupp))
 
-    # commutativity: Q_{i-2} d_i = d^K_{i-1} Q_{i-1} on every degree-i face
+    # commutativity: Q_{i-2} d_i = d^K_{i-1} Q_{i-1} on every degree-i face,
+    # as one table of Q d - d^K Q keyed by (neighbor subset, coefficient)
     for i in range(2, cx.top_degree + 1):
         for face in cx.labels(i):
-            clockwise: dict[tuple[str, ...], dict[Monomial, int]] = {}
+            table: dict[tuple[tuple[str, ...], Monomial], int] = {}
             for tgt, sign in cx.out_entries(face):
-                img = images.get(tgt)
-                if img is None:
-                    continue
-                c_q, subset = img
-                coeff = cx.coefficient(face, tgt)
-                bucket = clockwise.setdefault(subset, {})
-                bucket[coeff] = bucket.get(coeff, 0) + sign * c_q
-            counter: dict[tuple[str, ...], dict[Monomial, int]] = {}
-            img = images.get(face)
-            if img is not None:
-                c_p, subset = img
+                if tgt in images:
+                    c_q, subset = images[tgt]
+                    key = (subset, cx.coefficient(face, tgt))
+                    table[key] = table.get(key, 0) + sign * c_q
+            if face in images:
+                c_p, subset = images[face]
                 for k, w in enumerate(subset):
-                    rest = subset[:k] + subset[k + 1 :]
-                    bucket = counter.setdefault(rest, {})
-                    var = ctx.labels[w]
-                    bucket[var] = bucket.get(var, 0) + c_p * (-1) ** k
-            if _clean(clockwise) != _clean(counter):
-                raise NotChainMap(
-                    f"comparison square fails at {face}: {clockwise} != {counter}"
-                )
+                    key = (subset[:k] + subset[k + 1 :], ctx.labels[w])
+                    table[key] = table.get(key, 0) - c_p * (-1) ** k
+            wrong = {key: c for key, c in table.items() if c}
+            if wrong:
+                raise NotChainMap(f"comparison square fails at {face}: Q d - d^K Q = {wrong}")
     return QMorphism(ctx, images)
-
-
-def _clean(
-    table: dict[tuple[str, ...], dict[Monomial, int]]
-) -> dict[tuple[str, ...], tuple[tuple[tuple, int], ...]]:
-    out = {}
-    for subset, bucket in table.items():
-        entries = tuple(
-            sorted((m.sort_key(), c) for m, c in bucket.items() if c != 0)
-        )
-        if entries:
-            out[subset] = entries
-    return out
 
 
 def induced_subcomplex(cx: BasedComplex, vertex_set) -> BasedComplex:
@@ -208,13 +173,7 @@ def induced_subcomplex(cx: BasedComplex, vertex_set) -> BasedComplex:
     if len({cx.mdeg(e) for e in edges}) != len(edges):
         raise AmbiguousEdges("two 1-faces share a multidegree")
     wanted = set(vertex_set)
-    keep = [
-        label
-        for i in cx.degrees()
-        for label in cx.labels(i)
-        if cx.vertex_support(label) <= wanted
-    ]
-    return cx.restrict(keep)
+    return cx.restrict(l for l in cx.all_labels() if cx.vertex_support(l) <= wanted)
 
 
 def strand_via_kernel(cx: BasedComplex, v: str, order: TermOrder | None = None) -> BasedComplex:
@@ -229,16 +188,8 @@ def strand_via_kernel(cx: BasedComplex, v: str, order: TermOrder | None = None) 
     for i in range(2, cx.top_degree + 1):
         subsets = [q.images[f][1] for f in cx.labels(i) if f in q.images]
         if len(set(subsets)) != len(subsets):
-            raise RainbowError(
-                f"kernel of the comparison map is not coordinate in degree {i}"
-            )
-    keep = [
-        label
-        for i in cx.degrees()
-        for label in cx.labels(i)
-        if label not in q.images
-    ]
-    return cx.restrict(keep)
+            raise RainbowError(f"kernel of the comparison map is not coordinate in degree {i}")
+    return cx.restrict(l for l in cx.all_labels() if l not in q.images)
 
 
 def is_linearly_connected(cx: BasedComplex, v: str, order: TermOrder | None = None) -> bool:
@@ -248,7 +199,7 @@ def is_linearly_connected(cx: BasedComplex, v: str, order: TermOrder | None = No
         ctx = neighbors(cx, v, order)
     except NotLinear:
         return False
-    edge_supports = {frozenset(_edge_support(cx, e)) for e in cx.labels(2)}
+    edge_supports = {frozenset(cx.support(e)) for e in cx.labels(2)}
     for w1, w2 in combinations(ctx.neighbors, 2):
         m1, m2 = cx.mdeg(w1), cx.mdeg(w2)
         if m1.degree == m2.degree and m1.lcm(m2).degree == m1.degree + 1:
