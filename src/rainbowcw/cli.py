@@ -135,7 +135,7 @@ def _prime(args) -> int:
 
 
 def _load_order(args, n: int, m: int) -> TermOrder:
-    if getattr(args, "order_file", None):
+    if args.order_file:
         with open(args.order_file) as handle:
             try:
                 order = TermOrder.from_json(json.load(handle))
@@ -168,13 +168,11 @@ def _parse_facet(spec: str, n: int, m: int) -> tuple[int, ...]:
 
 
 def _delta_from_args(args) -> PureComplex:
-    if getattr(args, "delta_file", None):
+    if args.delta_file:
         delta = _load_pure_complex(args.delta_file)
-    elif getattr(args, "dual_file", None):
-        delta = alexander_dual_complex(_load_pure_complex(args.dual_file))
     else:
-        raise RainbowError("one of --delta-file / --dual-file is required")
-    if getattr(args, "delete", None):
+        delta = alexander_dual_complex(_load_pure_complex(args.dual_file))
+    if args.delete:
         drop = set()
         for spec in args.delete:
             facet = _parse_facet(spec, delta.n, delta.m)
@@ -208,6 +206,8 @@ def cmd_initial_ideal(args) -> int:
 
 
 def cmd_sparse_en(args) -> int:
+    if args.export == "dot" and args.certify_cw:
+        raise RainbowError("--certify-cw applies to --export json only")
     _check_size(args.n, args.m, args.force)
     order = _load_order(args, args.n, args.m)
     p = _prime(args)
@@ -338,6 +338,8 @@ def cmd_experiment(args) -> int:
     if args.mode == "free-seq-necessity":
         # Does linear resolution force a free sequence on the dual facets?
         # Tabulated only; no overlap hypothesis is imposed.
+        if args.targets:
+            raise RainbowError("--targets applies to --mode free-vertex-orders only")
         header = ["sample", "n", "m", "r", "linear", "free_seq"]
         if not args.random_orders:
             order = diagonal_order(n, m)
@@ -357,9 +359,11 @@ def cmd_experiment(args) -> int:
                 cx = sparse_eagon_northcott(order)
             free = _dual_free_sequence(cx, order, dual).found
             rows.append([k, n, m, len(dual), int(linear), int(free)])
-    elif args.mode == "free-vertex-orders":
+    else:
         # For the given facets, how often does a random order make them all
         # free vertices of the supporting complex?
+        if args.random_orders:
+            raise RainbowError("--random-orders applies to --mode free-seq-necessity only")
         header = ["sample", "n", "m", "targets", "all_free"]
         targets = [_parse_facet(spec, n, m) for spec in args.targets]
         if not targets:
@@ -372,8 +376,6 @@ def cmd_experiment(args) -> int:
                 [k, n, m, ";".join(",".join(map(str, t)) for t in targets),
                  int(all(vertex_label(order, t) in free for t in targets))]
             )
-    else:
-        raise RainbowError(f"unknown experiment mode {args.mode!r}")
     _emit_csv(header, rows, manifest, args.output)
     return 0
 
@@ -393,14 +395,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, size: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, size: bool = True, order: bool = True) -> None:
+        """--prime and -o always; -n, -m if sized, --order-file if ordered, --force if either."""
         if size:
             p.add_argument("-n", type=int, required=True)
             p.add_argument("-m", type=int, required=True)
-        p.add_argument("--order-file", help="term order JSON (default: diagonal order)")
+        if order:
+            p.add_argument("--order-file", help="term order JSON (default: diagonal order)")
         p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-        p.add_argument("--force", action="store_true", help="override the size caps")
+        if size or order:
+            p.add_argument("--force", action="store_true", help="override the size caps")
         p.add_argument("-o", "--output", help="output file (default: stdout)")
+
+    def delta_source(p: argparse.ArgumentParser) -> None:
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--delta-file", help="pure complex JSON for Delta")
+        source.add_argument("--dual-file", help="pure complex JSON for the dual of Delta")
 
     p = sub.add_parser("initial-ideal", help="initial ideal of maximal minors")
     common(p)
@@ -414,15 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("strand", help="linear strand of a rainbow DFI")
     common(p, size=False)
-    p.add_argument("--delta-file", help="pure complex JSON for Delta")
-    p.add_argument("--dual-file", help="pure complex JSON for the dual of Delta")
+    delta_source(p)
     p.add_argument("--delete", action="append", default=[],
                    help="facet 'c1,c2,...' to delete from Delta (repeatable)")
     p.add_argument("--betti-csv", help="also write the Betti oracle table as CSV")
     p.set_defaults(func=cmd_strand)
 
     p = sub.add_parser("betti", help="Koszul-homology Betti table of a monomial ideal")
-    common(p, size=False)
+    common(p, size=False, order=False)
     p.add_argument("--ideal-file", required=True, help="JSON array of monomial strings")
     p.set_defaults(func=cmd_betti)
 
@@ -433,8 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polarize", help="certify the dual as a polarization")
     common(p, size=False)
-    p.add_argument("--delta-file")
-    p.add_argument("--dual-file")
+    delta_source(p)
     p.add_argument("--delete", action="append", default=[])
     p.add_argument("--max-degree", type=int, default=None,
                    help="check the Hilbert functions up to this degree, at least 1 "
@@ -447,11 +455,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cw_check)
 
     p = sub.add_parser("experiment", help="randomized exploratory sweeps (tabulates only)")
-    common(p)
+    common(p, order=False)
     p.add_argument("--mode", choices=["free-seq-necessity", "free-vertex-orders"], required=True)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--random-orders", action="store_true")
+    p.add_argument("--random-orders", action="store_true",
+                   help="a fresh random term order per sample (free-seq-necessity mode)")
     p.add_argument("--targets", action="append", default=[],
                    help="facet 'c1,c2,...' (repeatable; free-vertex-orders mode)")
     p.set_defaults(func=cmd_experiment)

@@ -182,6 +182,23 @@ def test_experiment_negative_samples_rejected(capsys, mode):
     _assert_one_error_line(capsys, "RainbowError")
 
 
+# Each of these once exited 0 with the option silently ignored: the output
+# was byte-identical to the run without it.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "-n", "2", "-m", "4", "--mode", "free-seq-necessity",
+         "--samples", "1", "--targets", "1,2"],
+        ["experiment", "-n", "2", "-m", "4", "--mode", "free-vertex-orders",
+         "--samples", "1", "--targets", "1,2", "--random-orders"],
+        ["sparse-en", "-n", "2", "-m", "4", "--export", "dot", "--certify-cw"],
+    ],
+)
+def test_an_option_of_another_mode_is_refused(capsys, argv):
+    assert run(argv) == 2
+    _assert_one_error_line(capsys, "RainbowError")
+
+
 def test_experiment_free_vertex_orders(tmp_path):
     out = tmp_path / "fvo.csv"
     assert run([
@@ -470,3 +487,28 @@ def test_the_program_imports_without_numpy():
     code = "import sys, rainbowcw.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# Each of these once ran and silently dropped the option: the second input
+# file, or an order or size override that the command never reads.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["strand", "--delta-file", "DUAL", "--dual-file", "DUAL"],
+        ["polarize", "--delta-file", "DUAL", "--dual-file", "DUAL"],
+        ["strand"],
+        ["polarize"],
+        ["betti", "--ideal-file", "IDEAL", "--order-file", "ORDER"],
+        ["betti", "--ideal-file", "IDEAL", "--force"],
+        ["experiment", "-n", "2", "-m", "4", "--mode", "free-seq-necessity",
+         "--samples", "1", "--order-file", "ORDER"],
+    ],
+)
+def test_an_option_the_command_cannot_use_is_a_usage_error(tmp_path, capsys, argv):
+    data = Path(__file__).parent / "data"
+    files = {"DUAL": _worked_dual(tmp_path), "IDEAL": str(data / "ideal_plain.json"),
+             "ORDER": str(data / "order_2x4.json")}
+    with pytest.raises(SystemExit) as usage:
+        run([files.get(a, a) for a in argv])
+    assert usage.value.code == 2
+    assert capsys.readouterr().out == ""
