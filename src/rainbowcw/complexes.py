@@ -182,8 +182,10 @@ class BasedComplex:
         return lcm_closure(core)
 
     def is_resolution(self, p: int = DEFAULT_PRIME) -> bool:
-        """Acyclicity: every strand over the lcm closure has vanishing
-        homology in homological degrees >= 1."""
+        """Acyclicity: d o d = 0 over Z, and every strand over the lcm
+        closure has vanishing homology in homological degrees >= 1."""
+        if not self.check_complex():
+            return False
         for alpha in self.relevant_multidegrees():
             hom = self.strand_at(alpha).homology_ranks(p)
             if any(hom[1:]):
@@ -539,7 +541,9 @@ def is_linear_strand_of_module(cx: BasedComplex, p: int = DEFAULT_PRIME) -> bool
     """Homological criterion for a linear complex to be the linear strand of a
     finitely generated module: homology must vanish in the two total degrees
     immediately above the linear line, in every homological degree >= 2
-    (degree 1 of the resolved ideal)."""
+    (degree 1 of the resolved ideal).  A non-complex is never one."""
+    if not cx.check_complex():
+        return False
     firsts = cx.labels(1)
     if not firsts:
         return True

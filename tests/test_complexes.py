@@ -254,3 +254,39 @@ def test_resolution_verdict_stable_under_extra_multidegrees():
             alpha = Monomial({rng.choice(variables): rng.randint(1, 2) for _ in range(4)})
             hom = cx.strand_at(alpha).homology_ranks(32003)
             assert not any(hom[1:])
+
+
+def _with_one_sign_flipped(cx: BasedComplex, src: str, tgt: str) -> BasedComplex:
+    basis = [[(l, cx.mdeg(l)) for l in cx.labels(i)] for i in cx.degrees()]
+    diff = {(s, t): sign for s in cx.all_labels() for t, sign in cx.out_entries(s)}
+    diff[(src, tgt)] = -diff[(src, tgt)]
+    return BasedComplex(basis, diff)
+
+
+@pytest.mark.parametrize(
+    "n,m,seed,flips",
+    [(2, 4, None, 26), (3, 5, None, 51), (2, 5, 7, 108)],
+    ids=["2x4-diagonal", "3x5-diagonal", "2x5-seed7"],
+)
+def test_a_non_complex_is_not_a_resolution(n, m, seed, flips):
+    # one flipped sign of degree >= 2 breaks d o d = 0 over Z; without that
+    # no strand homology means anything, at any prime
+    import random
+
+    from rainbowcw.determinantal import random_term_order
+
+    order = diagonal_order(n, m) if seed is None else random_term_order(n, m, random.Random(seed))
+    cx = sparse_eagon_northcott(order)
+    entries = [
+        (src, tgt)
+        for src in cx.all_labels()
+        if cx.degree_of(src) >= 2
+        for tgt, _ in cx.out_entries(src)
+    ]
+    assert len(entries) == flips
+    for src, tgt in entries:
+        broken = _with_one_sign_flipped(cx, src, tgt)
+        assert not broken.check_complex()
+        for p in (2, 32003):
+            assert not broken.is_resolution(p), (src, tgt, p)
+            assert not is_linear_strand_of_module(broken, p), (src, tgt, p)
