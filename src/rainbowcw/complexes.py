@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import EmptyTable, GradingViolation, NotMinimal, SizeCap, UnitIdeal
 from .gfp import DEFAULT_PRIME, VectorComplex, cell_homology, check_prime
@@ -148,12 +148,19 @@ class BasedComplex:
 
     # -- strands and exactness ----------------------------------------------
 
-    def strand_at(self, alpha: Monomial) -> VectorComplex:
+    def strand_at(self, alpha: Monomial, modulo: Monomial | None = None) -> VectorComplex:
         """Vector-space strand in multidegree alpha: retain basis elements
         whose multidegree divides alpha; a retained element's column holds
-        the signs of its retained targets."""
+        the signs of its retained targets.
+
+        With ``modulo``, a divisor of alpha, this is the relative strand
+        C(alpha)/C(modulo): the elements whose multidegree divides
+        ``modulo`` are dropped as well, together with their entries.  Raises
+        ValueError if ``modulo`` does not divide alpha."""
+        if modulo is not None and not modulo.divides(alpha):
+            raise ValueError(f"{modulo} does not divide {alpha}")
         retained: list[dict[str, int]] = [
-            {layer[k]: n for n, k in enumerate(alpha.divisor_positions(mdegs))}
+            {layer[k]: n for n, k in enumerate(alpha.divisor_positions(mdegs, modulo))}
             for layer, mdegs in zip(self._basis, self._layer_mdegs)
         ]
         diffs: list[list[dict[int, int]]] = [[] for _ in retained]
@@ -166,12 +173,10 @@ class BasedComplex:
                     columns.append(column)
         return VectorComplex([len(idx) for idx in retained], diffs)
 
-    def relevant_multidegrees(self) -> list[Monomial]:
-        """Pairwise-lcm closure of all basis multidegrees in degrees >= 1.
-
-        A multidegree equal to the lcm of its proper divisors in the set is
-        redundant for the closure and dropped first (for a homogenized
-        complex this shrinks the generating set to the degree-1 layer)."""
+    def _closure_generators(self) -> list[Monomial]:
+        """The basis multidegrees in degrees >= 1, without those equal to
+        the lcm of their proper divisors in the set (for a homogenized
+        complex, this leaves the degree-1 layer), by degree."""
         gens = {self._mdeg[l] for layer in self._basis[1:] for l in layer}
         ordered = sorted(gens, key=lambda m: (m.degree, m.sort_key()))
         core: list[Monomial] = []
@@ -179,18 +184,60 @@ class BasedComplex:
             below = [d for d in core if d.divides(m)]
             if not below or lcm_of(below) != m:
                 core.append(m)
-        return lcm_closure(core)
+        return core
+
+    def relevant_multidegrees(self) -> list[Monomial]:
+        """Pairwise-lcm closure of all basis multidegrees in degrees >= 1,
+        generated by ``_closure_generators``."""
+        return lcm_closure(self._closure_generators())
+
+    def strand_homologies(self, p: int = DEFAULT_PRIME) -> Iterator[tuple[Monomial, list[int]]]:
+        """``(alpha, self.strand_at(alpha).homology_ranks(p))`` for each alpha
+        of ``relevant_multidegrees()``, in that order.
+
+        If gamma divides alpha, C(gamma) is a subcomplex of C(alpha), and if
+        C(gamma) is acyclic in every degree, the long exact sequence of the
+        pair gives H(C(alpha)) = H(C(alpha)/C(gamma)) over any field.  So for
+        an alpha with a support mask, each variable x of alpha is tried in
+        turn, those in the fewest closure generators below alpha first, with
+        gamma the lcm of the generators below alpha that avoid x; the first
+        such gamma whose strand had no homology is taken out, and only the
+        cells above it are ranked.  Otherwise the full strand is ranked.
+        Raises ValueError unless d o d = 0 over Z, which the long exact
+        sequence needs."""
+        if not self.check_complex():
+            raise ValueError("d o d is not zero: the strands are not complexes")
+        gens = [g.mask for g in self._closure_generators()]
+        acyclic: dict[int, Monomial] = {}
+        for alpha in self.relevant_multidegrees():
+            a, modulo = alpha.mask, None
+            if a >= 0:
+                below = [g for g in gens if not g & ~a]
+                variables = []
+                rest = a
+                while rest:
+                    x = rest & -rest
+                    rest ^= x
+                    variables.append((len([g for g in below if g & x]), x))
+                for _, x in sorted(variables):
+                    gamma = 0
+                    for g in below:
+                        if not g & x:
+                            gamma |= g
+                    modulo = acyclic.get(gamma)
+                    if modulo is not None:
+                        break
+            hom = self.strand_at(alpha, modulo).homology_ranks(p)
+            if a >= 0 and not any(hom):
+                acyclic[a] = alpha
+            yield alpha, hom
 
     def is_resolution(self, p: int = DEFAULT_PRIME) -> bool:
         """Acyclicity: d o d = 0 over Z, and every strand over the lcm
         closure has vanishing homology in homological degrees >= 1."""
         if not self.check_complex():
             return False
-        for alpha in self.relevant_multidegrees():
-            hom = self.strand_at(alpha).homology_ranks(p)
-            if any(hom[1:]):
-                return False
-        return True
+        return not any(any(hom[1:]) for _, hom in self.strand_homologies(p))
 
     # -- restriction ----------------------------------------------------------
 
@@ -548,8 +595,7 @@ def is_linear_strand_of_module(cx: BasedComplex, p: int = DEFAULT_PRIME) -> bool
     if not firsts:
         return True
     n = min(cx.mdeg(l).degree for l in firsts)
-    for alpha in cx.relevant_multidegrees():
-        hom = cx.strand_at(alpha).homology_ranks(p)
+    for alpha, hom in cx.strand_homologies(p):
         for h in range(2, len(hom)):
             if hom[h] and alpha.degree - n - (h - 1) in (0, 1):
                 return False

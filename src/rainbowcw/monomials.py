@@ -135,14 +135,27 @@ class Monomial:
         it = dict(other.exps)
         return all(it.get(v, 0) >= e for v, e in self.exps)
 
-    def divisor_positions(self, monomials: Sequence["Monomial"]) -> list[int]:
-        """The positions in ``monomials`` of those that divide this one; on
-        a mask, one int test each and no call."""
+    def divisor_positions(
+        self, monomials: Sequence["Monomial"], modulo: "Monomial | None" = None
+    ) -> list[int]:
+        """The positions in ``monomials`` of those that divide this one and,
+        if ``modulo`` is given, do not divide ``modulo``; on masks, one int
+        test each and no call."""
         b = self.mask
-        if b < 0:
-            return [k for k, m in enumerate(monomials) if m.divides(self)]
-        outside = ~b
-        return [k for k, m in enumerate(monomials) if not m.mask & outside]
+        if modulo is None:
+            if b < 0:
+                return [k for k, m in enumerate(monomials) if m.divides(self)]
+            outside = ~b
+            return [k for k, m in enumerate(monomials) if not m.mask & outside]
+        g = modulo.mask
+        if b < 0 or g < 0:
+            return [
+                k for k, m in enumerate(monomials) if m.divides(self) and not m.divides(modulo)
+            ]
+        outside, above = ~b, ~g
+        return [
+            k for k, m in enumerate(monomials) if not (c := m.mask) & outside and c & above
+        ]
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
         """Exact division; raises if ``other`` does not divide ``self``."""

@@ -290,3 +290,111 @@ def test_a_non_complex_is_not_a_resolution(n, m, seed, flips):
         for p in (2, 32003):
             assert not broken.is_resolution(p), (src, tgt, p)
             assert not is_linear_strand_of_module(broken, p), (src, tgt, p)
+
+
+def test_strand_homologies_refuse_a_non_complex():
+    cx = sparse_eagon_northcott(diagonal_order(2, 4))
+    src = cx.labels(2)[0]
+    broken = _with_one_sign_flipped(cx, src, cx.support(src)[0])
+    with pytest.raises(ValueError, match="d o d"):
+        next(broken.strand_homologies(2))
+
+
+def test_relative_strand_dimensions():
+    # C(alpha)/C(gamma) keeps the cells dividing alpha = x11 x12 x22 x23 but
+    # not gamma = x11 x22: vertices x12 x23 and x11 x23 (not x11 x22 itself),
+    # and the two edges, both of multidegree dividing alpha; no 1 in degree 0
+    cx = sparse_eagon_northcott(diagonal_order(2, 3))
+    alpha = parse_monomial("x[1,1] * x[1,2] * x[2,2] * x[2,3]")
+    gamma = parse_monomial("x[1,1] * x[2,2]")
+    full = cx.strand_at(alpha)
+    relative = cx.strand_at(alpha, gamma)
+    assert full.dims == [1, 3, 2]
+    assert relative.dims == [0, 2, 2]
+    # C(gamma) is one vertex over the unit, acyclic, so the homology agrees
+    assert not any(cx.strand_at(gamma).homology_ranks(2))
+    for p in (2, 32003):
+        assert relative.homology_ranks(p) == full.homology_ranks(p) == [0, 0, 0]
+    assert cx.strand_at(alpha, Monomial.one()).dims == [0, 3, 2]
+    assert cx.strand_at(alpha, alpha).dims == [0, 0, 0]
+
+
+def test_relative_strand_needs_a_divisor():
+    cx = sparse_eagon_northcott(diagonal_order(2, 3))
+    alpha = parse_monomial("x[1,1] * x[1,2] * x[2,2] * x[2,3]")
+    with pytest.raises(ValueError, match="does not divide"):
+        cx.strand_at(alpha, parse_monomial("x[1,1] * x[1,3]"))
+    with pytest.raises(ValueError, match="does not divide"):
+        cx.strand_at(parse_monomial("x[1,1] * x[2,2]"), alpha)
+
+
+def _plain_sweep(cx, p):
+    """The per-multidegree loop the sweep replaces: the full strand at every
+    alpha of the closure."""
+    return [(alpha, cx.strand_at(alpha).homology_ranks(p)) for alpha in cx.relevant_multidegrees()]
+
+
+def _top_truncated(cx):
+    return cx.restrict(l for l in cx.all_labels() if cx.degree_of(l) < cx.top_degree)
+
+
+def _unit_survives_below():
+    """A complex whose strand at x12 x13 has homology in degree 0 only (the
+    edge w kills the cycle v, and nothing hits the unit), under the
+    multidegree x11 x12 x13 whose strand is exact: a sweep that took the
+    smaller strand out of the larger one would find a false cycle."""
+    u, v, w = (parse_monomial(s) for s in ("x[1,1]", "x[1,2]", "x[1,2] * x[1,3]"))
+    basis = [[("1", Monomial.one())], [("u", u), ("v", v)], [("w", w)]]
+    return BasedComplex(basis, {("u", "1"): 1, ("w", "v"): 1})
+
+
+def _sweep_corpus():
+    import random
+    from itertools import combinations
+
+    from rainbowcw import PureComplex, rainbow_linear_strand
+    from rainbowcw.determinantal import random_term_order
+
+    rng = random.Random(61)
+    cases = []
+    for n, m in [(2, 4), (2, 5), (3, 4), (3, 5), (2, 6), (3, 6)]:
+        for k in range(2):
+            order = random_term_order(n, m, rng)
+            cx = sparse_eagon_northcott(order)
+            cases.append((f"en-{n}x{m}-{k}", cx))
+            cases.append((f"truncated-{n}x{m}-{k}", _top_truncated(cx)))
+            pool = list(combinations(range(1, m + 1), n))
+            delta = PureComplex(n, m, rng.sample(pool, rng.randint(1, len(pool))))
+            cases.append((f"linear-strand-{n}x{m}-{k}", rainbow_linear_strand(delta, order)))
+    cases.append(("unit-survives-below", _unit_survives_below()))
+    cases.append(("koszul-plain-4", koszul_complex([1, 2, 3, 4])))
+    gens = [parse_monomial(s) for s in ("x[1] * x[2]", "x[2] * x[3]", "x[1] * x[3]", "x[3]^2")]
+    cases.append(("taylor-plain", taylor_complex(gens)))
+    cases.append(("taylor-plain-truncated", taylor_complex(gens, top=2)))
+    return cases
+
+
+_SWEEP_CORPUS = _sweep_corpus()
+
+
+@pytest.mark.parametrize("p", [2, 32003])
+@pytest.mark.parametrize("cx", [cx for _, cx in _SWEEP_CORPUS], ids=[i for i, _ in _SWEEP_CORPUS])
+def test_strand_homologies_match_the_plain_sweep(cx, p):
+    assert list(cx.strand_homologies(p)) == _plain_sweep(cx, p)
+
+
+def test_the_sweep_ranks_relative_strands(monkeypatch):
+    # on a resolution nearly every strand is ranked modulo an acyclic one;
+    # a sweep that always took the full strand would fail here
+    cx = sparse_eagon_northcott(diagonal_order(3, 6))
+    moduli = []
+    original = BasedComplex.strand_at
+
+    def recording(self, alpha, modulo=None):
+        moduli.append(modulo)
+        return original(self, alpha, modulo)
+
+    monkeypatch.setattr(BasedComplex, "strand_at", recording)
+    swept = list(cx.strand_homologies(32003))
+    assert len(moduli) == len(swept)
+    assert sum(m is not None for m in moduli) > 0.8 * len(swept)

@@ -167,6 +167,12 @@ def test_divides_lcm_eq_hash_match_the_exponent_reference(pair):
     for alpha in (a, b):
         want = [k for k, c in enumerate(candidates) if _ref_divides(c, alpha)]
         assert alpha.divisor_positions(candidates) == want
+        for modulo in (a, b, Monomial.one(), a.gcd(b)):
+            want = [
+                k for k, c in enumerate(candidates)
+                if _ref_divides(c, alpha) and not _ref_divides(c, modulo)
+            ]
+            assert alpha.divisor_positions(candidates, modulo) == want
     lcm = a.lcm(b)
     assert lcm.exps == _ref_lcm(a, b)
     rebuilt = Monomial(dict(reversed(lcm.exps)))
