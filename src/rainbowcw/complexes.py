@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import EmptyTable, GradingViolation, NotMinimal, SizeCap, UnitIdeal
 from .gfp import DEFAULT_PRIME, VectorComplex, cell_homology, check_prime
@@ -62,7 +62,7 @@ class BasedComplex:
         pos = {l: k for layer in self._basis for k, l in enumerate(layer)}
         self._out = {l: tuple(sorted(v, key=lambda e: pos[e[0]])) for l, v in out.items()}
         self._vsupp: dict[str, frozenset] = {}
-        self._layer_mdegs = tuple(tuple(self._mdeg[l] for l in layer) for layer in self._basis)
+        self._cells: _CellIndex | None = None
 
     # -- basic access ------------------------------------------------------
 
@@ -148,6 +148,20 @@ class BasedComplex:
 
     # -- strands and exactness ----------------------------------------------
 
+    def _cell_index(self) -> _CellIndex:
+        """The cells numbered in basis order, with per-variable bitsets;
+        built on the first call and kept."""
+        if self._cells is None:
+            number = {l: k for k, l in enumerate(self.all_labels())}
+            mdegs = tuple(self._mdeg[l] for l in number)
+            self._cells = _CellIndex(
+                mdegs,
+                tuple(self._degree_of[l] for l in number),
+                tuple(tuple((number[t], s) for t, s in self._out[l]) for l in number),
+                *_variable_bitsets([m.mask for m in mdegs]),
+            )
+        return self._cells
+
     def strand_at(self, alpha: Monomial, modulo: Monomial | None = None) -> VectorComplex:
         """Vector-space strand in multidegree alpha: retain basis elements
         whose multidegree divides alpha; a retained element's column holds
@@ -156,22 +170,39 @@ class BasedComplex:
         With ``modulo``, a divisor of alpha, this is the relative strand
         C(alpha)/C(modulo): the elements whose multidegree divides
         ``modulo`` are dropped as well, together with their entries.  Raises
-        ValueError if ``modulo`` does not divide alpha."""
+        ValueError if ``modulo`` does not divide alpha.
+
+        For an alpha with a support mask, the retained cells are read from
+        the cell index as one bitset, div(alpha) & ~div(modulo), where
+        div(a) drops the cells holding a variable outside a; only its set
+        bits are visited.  Any other alpha selects its cells with
+        ``Monomial.divisor_positions``."""
         if modulo is not None and not modulo.divides(alpha):
             raise ValueError(f"{modulo} does not divide {alpha}")
-        retained: list[dict[str, int]] = [
-            {layer[k]: n for n, k in enumerate(alpha.divisor_positions(mdegs, modulo))}
-            for layer, mdegs in zip(self._basis, self._layer_mdegs)
-        ]
-        diffs: list[list[dict[int, int]]] = [[] for _ in retained]
-        out = self._out
-        for i in range(1, len(retained)):
-            below, columns = retained[i - 1], diffs[i]
-            for src in retained[i]:
-                column = {below[t]: sign for t, sign in out[src] if t in below}
+        cells = self._cell_index()
+        a = alpha.mask
+        if a < 0:
+            members = alpha.divisor_positions(cells.mdegs, modulo)
+        else:
+            kept = _inside(a, cells.used, cells.has, cells.masked)
+            if modulo is not None:
+                # a cell of div(alpha) lies in div(modulo) unless it holds a
+                # variable of alpha outside modulo
+                kept &= ~_inside(modulo.mask, a & cells.used, cells.has, kept)
+            members = _members(kept)
+        degrees, out = cells.degrees, cells.out
+        dims = [0] * len(self._basis)
+        diffs: list[list[dict[int, int]]] = [[] for _ in dims]
+        row: dict[int, int] = {}
+        for k in members:
+            i = degrees[k]
+            row[k] = dims[i]
+            dims[i] += 1
+            if i:
+                column = {row[t]: sign for t, sign in out[k] if t in row}
                 if column:
-                    columns.append(column)
-        return VectorComplex([len(idx) for idx in retained], diffs)
+                    diffs[i].append(column)
+        return VectorComplex(dims, diffs)
 
     def _closure_generators(self) -> list[Monomial]:
         """The basis multidegrees in degrees >= 1, without those equal to
@@ -199,31 +230,34 @@ class BasedComplex:
         C(gamma) is acyclic in every degree, the long exact sequence of the
         pair gives H(C(alpha)) = H(C(alpha)/C(gamma)) over any field.  So for
         an alpha with a support mask, each variable x of alpha is tried in
-        turn, those in the fewest closure generators below alpha first, with
-        gamma the lcm of the generators below alpha that avoid x; the first
-        such gamma whose strand had no homology is taken out, and only the
-        cells above it are ranked.  Otherwise the full strand is ranked.
-        Raises ValueError unless d o d = 0 over Z, which the long exact
-        sequence needs."""
+        turn, those in the fewest closure generators below alpha first (the
+        lowest bit on a tie), with gamma the lcm of the generators below
+        alpha that avoid x; the first such gamma whose strand had no
+        homology is taken out, and only the cells above it are ranked.
+        Otherwise the full strand is ranked.  The generators are numbered
+        once per sweep, and the ones below alpha, or with a given variable,
+        are int bitsets over those numbers.  Raises ValueError unless
+        d o d = 0 over Z, which the long exact sequence needs."""
         if not self.check_complex():
             raise ValueError("d o d is not zero: the strands are not complexes")
-        gens = [g.mask for g in self._closure_generators()]
+        core = self._closure_generators()
+        gens = [g.mask for g in core]
+        masked, used, gwith = _variable_bitsets(gens)
         acyclic: dict[int, Monomial] = {}
-        for alpha in self.relevant_multidegrees():
+        for alpha in lcm_closure(core):
             a, modulo = alpha.mask, None
             if a >= 0:
-                below = [g for g in gens if not g & ~a]
+                below = _inside(a, used, gwith, masked)
                 variables = []
                 rest = a
                 while rest:
                     x = rest & -rest
                     rest ^= x
-                    variables.append((len([g for g in below if g & x]), x))
+                    variables.append(((below & gwith[x]).bit_count(), x))
                 for _, x in sorted(variables):
                     gamma = 0
-                    for g in below:
-                        if not g & x:
-                            gamma |= g
+                    for j in _members(below & ~gwith[x]):
+                        gamma |= gens[j]
                     modulo = acyclic.get(gamma)
                     if modulo is not None:
                         break
@@ -248,7 +282,8 @@ class BasedComplex:
         Every entry between kept labels is an entry of this valid complex,
         so the subcomplex is built directly: layers and adjacency lists are
         filtered in their existing order, without ``__init__``'s checks.
-        Vertex supports are not copied, since a kept face can lose a vertex."""
+        Vertex supports are not copied, since a kept face can lose a vertex,
+        nor is the cell index, whose numbering the dropped cells would break."""
         keep_set = set(keep)
         basis = [tuple(l for l in layer if l in keep_set) for layer in self._basis]
         while basis and not basis[-1]:
@@ -262,7 +297,7 @@ class BasedComplex:
             l: tuple(e for e in out[l] if e[0] in keep_set) for layer in basis for l in layer
         }
         sub._vsupp = {}
-        sub._layer_mdegs = tuple(tuple(mdeg[l] for l in layer) for layer in basis)
+        sub._cells = None
         return sub
 
     # -- serialization ---------------------------------------------------------
@@ -284,6 +319,54 @@ class BasedComplex:
                 for tgt, sign in ents
             ],
         }
+
+
+class _CellIndex(NamedTuple):
+    """The cells of a complex numbered 0..N-1 in basis order: each cell's
+    multidegree, homological degree and differential entries as
+    (target number, sign); then, over the numbers, the bitset of the cells
+    whose multidegree has a support mask, the OR of those masks, and for
+    each variable bit the bitset of the cells whose mask holds it."""
+
+    mdegs: tuple[Monomial, ...]
+    degrees: tuple[int, ...]
+    out: tuple[tuple[tuple[int, int], ...], ...]
+    masked: int
+    used: int
+    has: dict[int, int]
+
+
+def _variable_bitsets(masks: Sequence[int]) -> tuple[int, int, dict[int, int]]:
+    """For masks numbered 0..N-1 (-1 for a monomial without one): the
+    bitset of the numbers with a mask, the OR of their masks, and for each
+    variable bit x (a one-bit int) the bitset of the numbers whose mask
+    holds x."""
+    masked = used = 0
+    has: dict[int, int] = {}
+    for k, m in enumerate(masks):
+        if m >= 0:
+            masked |= 1 << k
+            used |= m
+            rest = m
+            while rest:
+                x = rest & -rest
+                rest ^= x
+                has[x] = has.get(x, 0) | 1 << k
+    return masked, used, has
+
+
+def _inside(a: int, used: int, has: Mapping[int, int], items: int) -> int:
+    """The numbers in the bitset ``items`` whose masks lie inside the mask
+    ``a``: those holding no variable of ``used`` outside ``a``, with ``used``
+    covering every variable of the items' masks and ``has`` as returned by
+    ``_variable_bitsets``."""
+    outside = 0
+    rest = used & ~a
+    while rest:
+        x = rest & -rest
+        rest ^= x
+        outside |= has[x]
+    return items & ~outside
 
 
 # -- standard builders ---------------------------------------------------------

@@ -278,7 +278,8 @@ def is_cw_poset(
 ) -> CWCertificate:
     """Certify the CW-poset axioms: least element, nontriviality, thinness,
     sphere homology of every open lower interval, and a recursive atom
-    ordering of every closed lower interval.
+    ordering of every closed lower interval.  A given ``atom_key`` is
+    evaluated once per element.
 
     Raises SizeCap before any other work when a closed lower interval has
     more than MAX_ATOMS atoms, since its atom orderings would not be checked.
@@ -309,6 +310,9 @@ def is_cw_poset(
             spheres = False
             failures.append(f"sphere homology of (bottom, {x})")
             break
+    if atom_key is not None:
+        # every interval's orderings sort by the same keys: take each once
+        atom_key = {x: atom_key(x) for x in poset.elements}.__getitem__
     for x in poset.elements[1:]:
         if not recursive_atom_ordering_check(poset, x, atom_key=atom_key):
             orderings = False
