@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .errors import EmptyTable, GradingViolation, NotMinimal, SizeCap, UnitIdeal
 from .gfp import DEFAULT_PRIME, VectorComplex, cell_homology, check_prime
 from .ideals import MonomialIdeal
-from .monomials import Monomial, format_monomial, lcm_of, squarefree_lcm_closure
+from .monomials import Monomial, Steps, code, exponent_steps, format_monomial, lcm_of
 
 
 class BasedComplex:
@@ -45,6 +45,9 @@ class BasedComplex:
                     raise ValueError(f"duplicate basis label {label!r}")
                 self._mdeg[label] = mdeg
                 self._degree_of[label] = i
+        # one monomial never mixes rings, so its first variable names its ring
+        if len({type(m.exps[0][0]) for m in self._mdeg.values() if m.exps}) > 1:
+            raise ValueError("cells from two rings: grid variables x[i,j] and plain ones x[i]")
 
         out: dict[str, list[tuple[str, int]]] = {l: [] for l in self._mdeg}
         for (src, tgt), sign in diff.items():
@@ -149,16 +152,17 @@ class BasedComplex:
     # -- strands and exactness ----------------------------------------------
 
     def _cell_index(self) -> _CellIndex:
-        """The cells numbered in basis order, with per-variable bitsets;
-        built on the first call and kept."""
+        """The cells numbered in basis order, with per-step bitsets; built
+        on the first call and kept."""
         if self._cells is None:
             number = {l: k for k, l in enumerate(self.all_labels())}
-            mdegs = tuple(self._mdeg[l] for l in number)
+            mdegs = [self._mdeg[l] for l in number]
+            steps = exponent_steps(mdegs)
             self._cells = _CellIndex(
-                mdegs,
                 tuple(self._degree_of[l] for l in number),
                 tuple(tuple((number[t], s) for t, s in self._out[l]) for l in number),
-                *_variable_bitsets([m.mask for m in mdegs]),
+                steps,
+                *_variable_bitsets([code(m, steps) for m in mdegs]),
             )
         return self._cells
 
@@ -172,29 +176,24 @@ class BasedComplex:
         ``modulo`` are dropped as well, together with their entries.  Raises
         ValueError if ``modulo`` does not divide alpha.
 
-        For an alpha with a support mask, the retained cells are read from
-        the cell index as one bitset, div(alpha) & ~div(modulo), where
-        div(a) drops the cells holding a variable outside a; only its set
-        bits are visited.  Any other alpha selects its cells with
-        ``Monomial.divisor_positions``."""
+        The retained cells are read from the cell index as one bitset,
+        div(alpha) & ~div(modulo), where div(a) drops the cells whose
+        exponent code (see ``monomials.exponent_steps``) holds a step
+        outside the code of a; only its set bits are visited."""
         if modulo is not None and not modulo.divides(alpha):
             raise ValueError(f"{modulo} does not divide {alpha}")
         cells = self._cell_index()
-        a = alpha.mask
-        if a < 0:
-            members = alpha.divisor_positions(cells.mdegs, modulo)
-        else:
-            kept = _inside(a, cells.used, cells.has, cells.masked)
-            if modulo is not None:
-                # a cell of div(alpha) lies in div(modulo) unless it holds a
-                # variable of alpha outside modulo
-                kept &= ~_inside(modulo.mask, a & cells.used, cells.has, kept)
-            members = _members(kept)
+        a = code(alpha, cells.steps)
+        kept = _inside(a, cells.used, cells.has, cells.every)
+        if modulo is not None:
+            # a cell of div(alpha) lies in div(modulo) unless it holds a
+            # step of alpha outside modulo
+            kept &= ~_inside(code(modulo, cells.steps), a & cells.used, cells.has, kept)
         degrees, out = cells.degrees, cells.out
         dims = [0] * len(self._basis)
         diffs: list[list[dict[int, int]]] = [[] for _ in dims]
         row: dict[int, int] = {}
-        for k in members:
+        for k in _members(kept):
             i = degrees[k]
             row[k] = dims[i]
             dims[i] += 1
@@ -228,41 +227,42 @@ class BasedComplex:
 
         If gamma divides alpha, C(gamma) is a subcomplex of C(alpha), and if
         C(gamma) is acyclic in every degree, the long exact sequence of the
-        pair gives H(C(alpha)) = H(C(alpha)/C(gamma)) over any field.  So for
-        an alpha with a support mask, each variable x of alpha is tried in
-        turn, those in the fewest closure generators below alpha first (the
-        lowest bit on a tie), with gamma the lcm of the generators below
-        alpha that avoid x; the first such gamma whose strand had no
-        homology is taken out, and only the cells above it are ranked.
-        Otherwise the full strand is ranked.  The generators are numbered
-        once per sweep, and the ones below alpha, or with a given variable,
-        are int bitsets over those numbers.  Raises ValueError unless
-        d o d = 0 over Z, which the long exact sequence needs."""
+        pair gives H(C(alpha)) = H(C(alpha)/C(gamma)) over any field.  So
+        each step x of the exponent code of alpha (``monomials.code``; a
+        variable, if alpha is squarefree) is tried in turn, those in the
+        fewest closure generators below alpha first (the lowest bit on a
+        tie), with gamma the lcm of the generators below alpha that avoid
+        x; the first gamma whose strand had no homology is taken out, and
+        only the cells above it are ranked (all cells if there is none).
+        The generators are numbered once per sweep, and the ones below
+        alpha, or with a given step, are int bitsets over those numbers.
+        Raises ValueError unless d o d = 0 over Z, which the long exact
+        sequence needs."""
         if not self.check_complex():
             raise ValueError("d o d is not zero: the strands are not complexes")
         core = self._closure_generators()
-        gens = [g.mask for g in core]
-        masked, used, gwith = _variable_bitsets(gens)
+        steps = exponent_steps(core)
+        gens = [code(g, steps) for g in core]
+        every, used, gwith = _variable_bitsets(gens)
         acyclic: dict[int, Monomial] = {}
         for alpha in lcm_closure(core):
-            a, modulo = alpha.mask, None
-            if a >= 0:
-                below = _inside(a, used, gwith, masked)
-                variables = []
-                rest = a
-                while rest:
-                    x = rest & -rest
-                    rest ^= x
-                    variables.append(((below & gwith[x]).bit_count(), x))
-                for _, x in sorted(variables):
-                    gamma = 0
-                    for j in _members(below & ~gwith[x]):
-                        gamma |= gens[j]
-                    modulo = acyclic.get(gamma)
-                    if modulo is not None:
-                        break
+            a, modulo = code(alpha, steps), None
+            below = _inside(a, used, gwith, every)
+            variables = []
+            rest = a
+            while rest:
+                x = rest & -rest
+                rest ^= x
+                variables.append(((below & gwith[x]).bit_count(), x))
+            for _, x in sorted(variables):
+                gamma = 0
+                for j in _members(below & ~gwith[x]):
+                    gamma |= gens[j]
+                modulo = acyclic.get(gamma)
+                if modulo is not None:
+                    break
             hom = self.strand_at(alpha, modulo).homology_ranks(p)
-            if a >= 0 and not any(hom):
+            if not any(hom):
                 acyclic[a] = alpha
             yield alpha, hom
 
@@ -323,42 +323,37 @@ class BasedComplex:
 
 class _CellIndex(NamedTuple):
     """The cells of a complex numbered 0..N-1 in basis order: each cell's
-    multidegree, homological degree and differential entries as
-    (target number, sign); then, over the numbers, the bitset of the cells
-    whose multidegree has a support mask, the OR of those masks, and for
-    each variable bit the bitset of the cells whose mask holds it."""
+    homological degree and differential entries as (target number, sign),
+    the exponent steps of their multidegrees, and ``_variable_bitsets`` of
+    their codes."""
 
-    mdegs: tuple[Monomial, ...]
     degrees: tuple[int, ...]
     out: tuple[tuple[tuple[int, int], ...], ...]
-    masked: int
+    steps: Steps
+    every: int
     used: int
     has: dict[int, int]
 
 
-def _variable_bitsets(masks: Sequence[int]) -> tuple[int, int, dict[int, int]]:
-    """For masks numbered 0..N-1 (-1 for a monomial without one): the
-    bitset of the numbers with a mask, the OR of their masks, and for each
-    variable bit x (a one-bit int) the bitset of the numbers whose mask
-    holds x."""
-    masked = used = 0
+def _variable_bitsets(codes: Sequence[int]) -> tuple[int, int, dict[int, int]]:
+    """For codes numbered 0..N-1: the bitset of all N numbers, the OR of the
+    codes, and for each step bit x (a one-bit int) the bitset of the numbers
+    whose code holds x."""
+    used = 0
     has: dict[int, int] = {}
-    for k, m in enumerate(masks):
-        if m >= 0:
-            masked |= 1 << k
-            used |= m
-            rest = m
-            while rest:
-                x = rest & -rest
-                rest ^= x
-                has[x] = has.get(x, 0) | 1 << k
-    return masked, used, has
+    for k, c in enumerate(codes):
+        used |= c
+        while c:
+            x = c & -c
+            c ^= x
+            has[x] = has.get(x, 0) | 1 << k
+    return (1 << len(codes)) - 1, used, has
 
 
 def _inside(a: int, used: int, has: Mapping[int, int], items: int) -> int:
-    """The numbers in the bitset ``items`` whose masks lie inside the mask
-    ``a``: those holding no variable of ``used`` outside ``a``, with ``used``
-    covering every variable of the items' masks and ``has`` as returned by
+    """The numbers in the bitset ``items`` whose codes lie inside the code
+    ``a``: those holding no step of ``used`` outside ``a``, with ``used``
+    covering every step of the items' codes and ``has`` as returned by
     ``_variable_bitsets``."""
     outside = 0
     rest = used & ~a
@@ -386,9 +381,7 @@ def taylor_complex(gens: Sequence[Monomial], top: int | None = None) -> BasedCom
     for size in range(1, cap + 1):
         layer = []
         for subset in combinations(range(k), size):
-            mdeg = Monomial.one()
-            for s in subset:
-                mdeg = mdeg.lcm(gens[s])
+            mdeg = lcm_of(gens[s] for s in subset)
             layer.append((label(subset), mdeg))
             for pos, s in enumerate(subset):
                 rest = subset[:pos] + subset[pos + 1 :]
@@ -413,20 +406,22 @@ def lcm_closure(monomials: Iterable[Monomial], degree_cap: int | None = None) ->
     gens = [m for m in set(monomials) if not m.is_one()]
     if degree_cap is not None:
         gens = [m for m in gens if m.degree <= degree_cap]
-    closed = squarefree_lcm_closure(gens, degree_cap)
-    if closed is None:
-        closed = set(gens)
-        frontier = list(gens)
-        while frontier:
-            new: list[Monomial] = []
-            for a in frontier:
-                for g in gens:
-                    c = a.lcm(g)
-                    if c not in closed and (degree_cap is None or c.degree <= degree_cap):
-                        closed.add(c)
-                        new.append(c)
-            frontier = new
-    return sorted(closed, key=lambda m: (m.degree, m.sort_key()))
+    # an lcm is the OR of the exponent codes, and its degree their bit
+    # count: each candidate is decided on ints, and only new ones are built
+    steps = exponent_steps(gens)
+    coded = [(code(g, steps), g) for g in gens]
+    closed = dict(coded)
+    frontier = coded
+    while frontier:
+        new: list[tuple[int, Monomial]] = []
+        for a, am in frontier:
+            for g, gm in coded:
+                c = a | g
+                if c not in closed and (degree_cap is None or c.bit_count() <= degree_cap):
+                    closed[c] = cm = am.lcm(gm)
+                    new.append((c, cm))
+        frontier = new
+    return sorted(closed.values(), key=lambda m: (m.degree, m.sort_key()))
 
 
 # -- Betti tables -------------------------------------------------------------------

@@ -10,16 +10,24 @@ A squarefree monomial over grid variables ``(i, j)`` with 1 <= i, j <= STRIDE
 also carries its support as a bit mask: variable (i, j) is bit
 (i - 1) * STRIDE + (j - 1).  Bits follow the row-major variable order, so the
 bit order is the sorted order of ``exps``.  Divisibility, lcm and degree of
-two such monomials, the divisors of one among many and the lcm closure of
-many are int operations; every other monomial has mask -1 and takes the
-exponent-tuple path.
+two such monomials are int operations; every other monomial has mask -1 and
+takes the exponent-tuple path.
+
+Divisibility over a set of monomials is decided on one exponent code, the
+staircase polarization of the set (Miller and Sturmfels, Combinatorial
+Commutative Algebra): ``exponent_steps`` gives each step (v, k), for k up to
+the largest exponent of v in the set, one bit, and ``code`` ORs the steps
+that a monomial reaches.  Over the set, a divides b iff code(a) & ~code(b)
+is 0, the code of an lcm is the OR of the codes, and the degree is the bit
+count.  Step (v, 1) of a grid variable is its mask bit, and every other step
+lies above the mask bits, so a masked monomial's code is its mask.
 """
 
 from __future__ import annotations
 
 import re
 from functools import reduce
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import ParseError
 
@@ -135,28 +143,6 @@ class Monomial:
         it = dict(other.exps)
         return all(it.get(v, 0) >= e for v, e in self.exps)
 
-    def divisor_positions(
-        self, monomials: Sequence["Monomial"], modulo: "Monomial | None" = None
-    ) -> list[int]:
-        """The positions in ``monomials`` of those that divide this one and,
-        if ``modulo`` is given, do not divide ``modulo``; on masks, one int
-        test each and no call."""
-        b = self.mask
-        if modulo is None:
-            if b < 0:
-                return [k for k, m in enumerate(monomials) if m.divides(self)]
-            outside = ~b
-            return [k for k, m in enumerate(monomials) if not m.mask & outside]
-        g = modulo.mask
-        if b < 0 or g < 0:
-            return [
-                k for k, m in enumerate(monomials) if m.divides(self) and not m.divides(modulo)
-            ]
-        outside, above = ~b, ~g
-        return [
-            k for k, m in enumerate(monomials) if not (c := m.mask) & outside and c & above
-        ]
-
     def __truediv__(self, other: "Monomial") -> "Monomial":
         """Exact division; raises if ``other`` does not divide ``self``."""
         m = dict(self.exps)
@@ -219,28 +205,47 @@ def lcm_of(monomials: Iterable[Monomial]) -> Monomial:
     return reduce(Monomial.lcm, monomials, Monomial.one())
 
 
-def squarefree_lcm_closure(
-    gens: list[Monomial], degree_cap: int | None = None
-) -> list[Monomial] | None:
-    """The closure of ``gens`` under pairwise lcm, without the lcms above
-    total degree ``degree_cap``, in no particular order; None unless every
-    generator has a mask.  An lcm is the union of the masks, so each
-    candidate is decided on ints and only new elements are built."""
-    if any(g.mask < 0 for g in gens):
-        return None
-    seen = {g.mask: g for g in gens}
-    frontier = list(gens)
-    while frontier:
-        new: list[Monomial] = []
-        for a in frontier:
-            amask = a.mask
-            for g in gens:
-                union = amask | g.mask
-                if union not in seen and (degree_cap is None or union.bit_count() <= degree_cap):
-                    seen[union] = c = a.lcm(g)
-                    new.append(c)
-        frontier = new
-    return list(seen.values())
+Steps = dict[Variable, tuple[int, ...]]
+
+
+def exponent_steps(monomials: Iterable[Monomial]) -> Steps:
+    """The exponent code of a set of monomials, whose steps (v, k) run up to
+    the largest exponent of v in the set.  Step (v, 1) of a grid variable
+    with a mask bit is that bit; every other step takes the next bit from
+    STRIDE**2 up, in increasing (v, k) order.  For each variable of an
+    unmasked member, entry e is the code of v^e, the bits of its steps
+    (v, 1) .. (v, e); the variables of masked members need no entry."""
+    top: dict[Variable, int] = {}
+    for m in monomials:
+        if m.mask < 0:
+            for v, e in m.exps:
+                top[v] = max(e, top.get(v, 0))
+    steps: Steps = {}
+    bit = 1 << STRIDE * STRIDE
+    for v in sorted(top):
+        power = _VAR_BIT.get(v, 0)
+        powers = [0, power] if power else [0]
+        while len(powers) <= top[v]:
+            power |= bit
+            bit <<= 1
+            powers.append(power)
+        steps[v] = tuple(powers)
+    return steps
+
+
+def code(m: Monomial, steps: Steps) -> int:
+    """The code of ``m`` under ``steps``: its mask if it has one, else the
+    OR of the codes of its powers, with exponents above the steps capped and
+    variables outside them left out (but for a mask bit, as step 1).  So for
+    a in the set of ``steps``, a divides m iff code(a) & ~code(m) is 0."""
+    c = m.mask
+    if c >= 0:
+        return c
+    c = 0
+    for v, e in m.exps:
+        powers = steps.get(v) or (0, _VAR_BIT.get(v, 0))
+        c |= powers[min(e, len(powers) - 1)]
+    return c
 
 
 def format_monomial(m: Monomial) -> str:

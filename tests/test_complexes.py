@@ -383,10 +383,9 @@ def test_strand_homologies_match_the_plain_sweep(cx, p):
     assert list(cx.strand_homologies(p)) == _plain_sweep(cx, p)
 
 
-def test_the_sweep_ranks_relative_strands(monkeypatch):
-    # on a resolution nearly every strand is ranked modulo an acyclic one;
-    # a sweep that always took the full strand would fail here
-    cx = sparse_eagon_northcott(diagonal_order(3, 6))
+def _relative_strands(cx, monkeypatch):
+    """How many strands ``strand_homologies`` ranks modulo an acyclic one,
+    and how many it ranks."""
     moduli = []
     original = BasedComplex.strand_at
 
@@ -394,7 +393,26 @@ def test_the_sweep_ranks_relative_strands(monkeypatch):
         moduli.append(modulo)
         return original(self, alpha, modulo)
 
-    monkeypatch.setattr(BasedComplex, "strand_at", recording)
-    swept = list(cx.strand_homologies(32003))
+    with monkeypatch.context() as patch:
+        patch.setattr(BasedComplex, "strand_at", recording)
+        swept = list(cx.strand_homologies(32003))
     assert len(moduli) == len(swept)
-    assert sum(m is not None for m in moduli) > 0.8 * len(swept)
+    return sum(m is not None for m in moduli), len(swept)
+
+
+def test_the_sweep_ranks_relative_strands(monkeypatch):
+    # on a resolution nearly every strand is ranked modulo an acyclic one;
+    # a sweep that always took the full strand would fail here
+    relative, swept = _relative_strands(sparse_eagon_northcott(diagonal_order(3, 6)), monkeypatch)
+    assert relative > 0.8 * swept
+    # so is half the sweep of a Taylor complex on plain, non-squarefree
+    # generators: their exponent steps find the acyclic strands below
+    gens = [parse_monomial(s) for s in ("x[1] * x[2]", "x[2] * x[3]", "x[1] * x[3]", "x[3]^2")]
+    assert _relative_strands(taylor_complex(gens), monkeypatch) == (4, 8)
+
+
+def test_cells_from_two_rings_are_refused():
+    basis = [[("1", Monomial.one())],
+             [("a", parse_monomial("x[1]")), ("b", parse_monomial("x[1,1]"))]]
+    with pytest.raises(ValueError, match="two rings"):
+        BasedComplex(basis, {("a", "1"): 1, ("b", "1"): 1})

@@ -1,11 +1,14 @@
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 from hypothesis import given, strategies as st
 
 from rainbowcw import Monomial, diagonal_order, format_monomial, parse_monomial
 from rainbowcw.errors import ParseError
-from rainbowcw.monomials import STRIDE, lcm_of, squarefree_lcm_closure
+from rainbowcw.complexes import lcm_closure
+from rainbowcw.monomials import STRIDE, code, exponent_steps, lcm_of
 from rainbowcw.termorders import EQ, GT, LT, TermOrder
 
 
@@ -163,17 +166,8 @@ def test_divides_lcm_eq_hash_match_the_exponent_reference(pair):
         assert product == rebuilt and product.mask == _ref_mask(rebuilt.exps)
     assert a.divides(b) == _ref_divides(a, b)
     assert b.divides(a) == _ref_divides(b, a)
-    candidates = [b, a, Monomial.one(), a.lcm(b)]
-    for alpha in (a, b):
-        want = [k for k, c in enumerate(candidates) if _ref_divides(c, alpha)]
-        assert alpha.divisor_positions(candidates) == want
-        for modulo in (a, b, Monomial.one(), a.gcd(b)):
-            want = [
-                k for k, c in enumerate(candidates)
-                if _ref_divides(c, alpha) and not _ref_divides(c, modulo)
-            ]
-            assert alpha.divisor_positions(candidates, modulo) == want
     lcm = a.lcm(b)
+    _assert_codes_decide_divisibility([a, b, Monomial.one(), a.gcd(b), lcm])
     assert lcm.exps == _ref_lcm(a, b)
     rebuilt = Monomial(dict(reversed(lcm.exps)))
     assert lcm == rebuilt and hash(lcm) == hash(rebuilt) and lcm.mask == rebuilt.mask
@@ -181,6 +175,40 @@ def test_divides_lcm_eq_hash_match_the_exponent_reference(pair):
     assert (a == b) == (a.exps == b.exps)
     if a.exps == b.exps:
         assert hash(a) == hash(b)
+
+
+def _assert_codes_decide_divisibility(members):
+    """Over the exponent code of ``members``: divides iff the codes nest,
+    the code of an lcm is the OR, the degree is the bit count, a masked
+    monomial's code is its mask, and exponents above the steps are capped."""
+    steps = exponent_steps(members)
+    codes = [code(m, steps) for m in members]
+    for x, cx in zip(members, codes):
+        assert cx.bit_count() == x.degree
+        if x.mask >= 0:
+            assert cx == x.mask
+        for y, cy in zip(members, codes):
+            assert (not cx & ~cy) == _ref_divides(x, y)
+            assert code(x.lcm(y), steps) == cx | cy
+    top = lcm_of(members)
+    assert code(top * top, steps) == code(top, steps) == reduce(or_, codes, 0)
+
+
+def test_codes_cap_exponents_and_leave_out_other_variables():
+    steps = exponent_steps([parse_monomial("x[1]^2 * x[2]"), parse_monomial("x[3]")])
+    top = code(parse_monomial("x[1]^2 * x[2] * x[3]"), steps)
+    assert top == (1 << STRIDE * STRIDE + 4) - (1 << STRIDE * STRIDE)
+    assert code(parse_monomial("x[1]^7 * x[2]^3 * x[3] * x[4]^2"), steps) == top
+    assert code(parse_monomial("x[4] * x[5]^3"), steps) == 0
+    # a grid variable's first step is its mask bit; further steps lie above
+    # every mask bit
+    steps = exponent_steps([parse_monomial("x[1,2]^3"), parse_monomial("x[2,1]")])
+    x12, x21 = Monomial.grid((1, 2)), Monomial.grid((2, 1))
+    assert code(x12, steps) == x12.mask and code(x21, steps) == x21.mask
+    # a variable of masked members only has one step, its mask bit
+    assert code(parse_monomial("x[2,1]^2"), steps) == x21.mask
+    squared = code(parse_monomial("x[1,2]^2"), steps)
+    assert squared & x12.mask and (squared ^ x12.mask) >> STRIDE * STRIDE == 1
 
 
 def _ref_key(order, mono):
@@ -223,12 +251,18 @@ def test_term_order_matches_the_dense_reference(case):
 _masked_monomials = _monomials(
     st.tuples(st.sampled_from(_ROWS[:-1]), st.sampled_from(_COLS[:-1])), st.just(1)
 )
+# Generators of one ring: masked, past the stride, non-squarefree, or plain.
+_one_ring_generators = st.one_of(
+    st.lists(_masked_monomials, min_size=2, max_size=6),
+    st.lists(grid_monomials_both, min_size=2, max_size=6),
+    st.lists(plain_monomials, min_size=2, max_size=6),
+)
 
 
-@given(st.lists(_masked_monomials, min_size=2, max_size=6), st.one_of(st.none(), st.integers(1, 6)))
-def test_squarefree_lcm_closure_is_the_set_of_subset_lcms(gens, cap):
-    gens = [g for g in set(gens) if cap is None or g.degree <= cap]
-    closed = squarefree_lcm_closure(gens, cap)
+@given(_one_ring_generators, st.one_of(st.none(), st.integers(1, 8)))
+def test_lcm_closure_is_the_set_of_subset_lcms(gens, cap):
+    gens = [g for g in set(gens) if not g.is_one() and (cap is None or g.degree <= cap)]
+    closed = lcm_closure(gens, cap)
     want = set()
     for k in range(1, len(gens) + 1):
         for subset in combinations(gens, k):
@@ -236,10 +270,7 @@ def test_squarefree_lcm_closure_is_the_set_of_subset_lcms(gens, cap):
             if cap is None or lcm.degree <= cap:
                 want.add(lcm.exps)
     assert sorted(m.exps for m in closed) == sorted(want)
+    assert [m.exps for m in closed] == [
+        m.exps for m in sorted(closed, key=lambda m: (m.degree, m.exps))
+    ]
     assert all(m.mask == _ref_mask(m.exps) for m in closed)
-
-
-@given(st.lists(_masked_monomials, max_size=3), any_monomials)
-def test_squarefree_lcm_closure_needs_every_mask(gens, other):
-    closed = squarefree_lcm_closure(gens + [other])
-    assert (closed is None) == (_ref_mask(other.exps) < 0)

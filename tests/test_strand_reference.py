@@ -1,7 +1,7 @@
 """``BasedComplex.strand_at`` and the sweep of ``strand_homologies``, which
-read cells and closure generators from per-variable bitsets, against the
-scanning strand and the list-based search for an acyclic strand below that
-they replaced."""
+read cells and closure generators from per-step bitsets over exponent codes,
+against the scanning strand and a search for an acyclic strand below on
+sets of (variable, step) pairs."""
 
 import random
 
@@ -9,6 +9,7 @@ import pytest
 
 from rainbowcw import BasedComplex, Monomial, diagonal_order, sparse_eagon_northcott
 from rainbowcw.gfp import VectorComplex
+from rainbowcw.monomials import STRIDE
 from tests.test_complexes import _SWEEP_CORPUS
 from tests.test_determinantal import seeded_order
 from tests.test_restrict_reference import keep_sets
@@ -25,8 +26,11 @@ def ref_strand_at(cx, alpha, modulo=None):
     retained = []
     for i in cx.degrees():
         layer = cx.labels(i)
-        positions = alpha.divisor_positions([cx.mdeg(l) for l in layer], modulo)
-        retained.append({layer[k]: n for n, k in enumerate(positions)})
+        kept = [
+            l for l in layer
+            if cx.mdeg(l).divides(alpha) and (modulo is None or not cx.mdeg(l).divides(modulo))
+        ]
+        retained.append({l: n for n, l in enumerate(kept)})
     diffs = [[] for _ in retained]
     for i in range(1, len(retained)):
         below = retained[i - 1]
@@ -37,34 +41,43 @@ def ref_strand_at(cx, alpha, modulo=None):
     return [len(kept) for kept in retained], diffs
 
 
+def ref_steps(m):
+    """The (variable, step) pairs of a monomial: (v, 1) .. (v, e) for x_v^e."""
+    return frozenset((v, k) for v, e in m.exps for k in range(1, e + 1))
+
+
+def ref_bit_order(pairs):
+    """The position of each pair in the documented bit order: step 1 of a
+    grid variable (i, j) inside the stride is bit (i - 1) * STRIDE + j - 1;
+    the other pairs follow from bit STRIDE**2 up, in sorted order."""
+    def masked(pair):
+        v, k = pair
+        return k == 1 and isinstance(v, tuple) and all(1 <= c <= STRIDE for c in v)
+
+    position = {x: (x[0][0] - 1) * STRIDE + x[0][1] - 1 for x in pairs if masked(x)}
+    above = sorted(x for x in pairs if not masked(x))
+    position.update((x, STRIDE * STRIDE + k) for k, x in enumerate(above))
+    return position
+
+
 def ref_sweep(cx, p):
-    """The list-based sweep: ``(alpha, modulo, homology ranks)`` over the
-    closure, gamma the OR of the generators below alpha that avoid the
-    variable x, x tried by fewest such generators, then lowest bit; every
-    strand from the scan."""
-    gens = [g.mask for g in cx._closure_generators()]
+    """The set-based sweep: ``(alpha, modulo, homology ranks)`` over the
+    closure, gamma the lcm of the generators below alpha that avoid the
+    step x of alpha, x tried by fewest such generators, then in the bit
+    order; every strand from the scan."""
+    gens = [ref_steps(g) for g in cx._closure_generators()]
+    position = ref_bit_order(frozenset().union(*gens))
     acyclic = {}
     out = []
     for alpha in cx.relevant_multidegrees():
-        a, modulo = alpha.mask, None
-        if a >= 0:
-            below = [g for g in gens if not g & ~a]
-            variables = []
-            rest = a
-            while rest:
-                x = rest & -rest
-                rest ^= x
-                variables.append((len([g for g in below if g & x]), x))
-            for _, x in sorted(variables):
-                gamma = 0
-                for g in below:
-                    if not g & x:
-                        gamma |= g
-                modulo = acyclic.get(gamma)
-                if modulo is not None:
-                    break
+        a, modulo = ref_steps(alpha), None
+        below = [g for g in gens if g <= a]
+        for x in sorted(a, key=lambda x: (len([g for g in below if x in g]), position[x])):
+            modulo = acyclic.get(frozenset().union(*(g for g in below if x not in g)))
+            if modulo is not None:
+                break
         hom = VectorComplex(*ref_strand_at(cx, alpha, modulo)).homology_ranks(p)
-        if a >= 0 and not any(hom):
+        if not any(hom):
             acyclic[a] = alpha
         out.append((alpha, modulo, hom))
     return out
