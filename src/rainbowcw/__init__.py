@@ -57,12 +57,10 @@ from .polarization import (
     certify_polarization,
     find_free_sequence,
     free_vertices,
-    hilbert_function,
     hilbert_profile,
     linearity_criterion,
     specialize,
     variable_differences_regular,
-    verify_regular_sequence,
 )
 from .strands import (
     chain_sign,

@@ -21,7 +21,7 @@ from math import comb
 
 from . import __version__
 from .complexes import koszul_betti
-from .cwposet import export_poset, face_poset, is_cw_poset
+from .cwposet import CWCertificate, export_poset, face_poset, is_cw_poset
 from .determinantal import (
     PureComplex,
     alexander_dual_complex,
@@ -34,7 +34,7 @@ from .eagon_northcott import sparse_eagon_northcott
 from .errors import ParseError, RainbowError, SizeCap
 from .gfp import DEFAULT_PRIME, is_valid_modulus
 from .ideals import MonomialIdeal
-from .monomials import format_monomial, parse_monomial
+from .monomials import check_one_ring, format_monomial, parse_monomial
 from .polarization import FreeSequenceReport, certify_polarization, find_free_sequence, free_vertices
 from .strands import rainbow_linear_strand, vertex_label
 from .termorders import TermOrder, diagonal_order
@@ -205,6 +205,13 @@ def cmd_initial_ideal(args) -> int:
     return 0
 
 
+def _cw_certificate(cx, order: TermOrder, p: int) -> CWCertificate:
+    """The CW certificate of a sparse EN complex's face poset, each interval's
+    atoms ordered by their multidegrees under ``order``."""
+    key = lambda label: order.sort_key(cx.mdeg(label))
+    return is_cw_poset(face_poset(cx), p=p, atom_key=key)
+
+
 def cmd_sparse_en(args) -> int:
     if args.export == "dot" and args.certify_cw:
         raise RainbowError("--certify-cw applies to --export json only")
@@ -218,8 +225,7 @@ def cmd_sparse_en(args) -> int:
         return 0
     payload: dict = {"complex": cx.to_json(), "ranks": list(cx.ranks())}
     if args.certify_cw:
-        key = lambda label: order.sort_key(cx.mdeg(label))
-        payload["cw_certificate"] = is_cw_poset(face_poset(cx), p=p, atom_key=key).to_json()
+        payload["cw_certificate"] = _cw_certificate(cx, order, p).to_json()
         payload["is_resolution"] = cx.is_resolution(p)
     _emit_json(payload, manifest, args.output)
     return 0
@@ -257,8 +263,10 @@ def cmd_betti(args) -> int:
     if not isinstance(entries, list) or not all(isinstance(e, str) for e in entries):
         raise ParseError("bad ideal file: expected a JSON array of monomial strings")
     gens = [parse_monomial(e) for e in entries]
-    if len({type(v) for g in gens for v, _ in g.exps}) > 1:
-        raise ParseError("bad ideal file: it mixes grid and plain variables")
+    try:
+        check_one_ring(gens)
+    except ValueError as exc:
+        raise ParseError("bad ideal file: it mixes grid and plain variables") from exc
     ideal = MonomialIdeal(gens)
     p = _prime(args)
     table = koszul_betti(ideal, p=p)
@@ -317,8 +325,7 @@ def cmd_cw_check(args) -> int:
     order = _load_order(args, args.n, args.m)
     p = _prime(args)
     cx = sparse_eagon_northcott(order)
-    key = lambda label: order.sort_key(cx.mdeg(label))
-    cert = is_cw_poset(face_poset(cx), p=p, atom_key=key)
+    cert = _cw_certificate(cx, order, p)
     manifest = RunManifest("cw-check", args.n, args.m, order.to_json(), p)
     _emit_json(
         {"certificate": cert.to_json(), "ranks": list(cx.ranks())}, manifest, args.output

@@ -23,7 +23,9 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .errors import EmptyTable, GradingViolation, NotMinimal, SizeCap, UnitIdeal
 from .gfp import DEFAULT_PRIME, VectorComplex, cell_homology, check_prime
 from .ideals import MonomialIdeal
-from .monomials import Monomial, Steps, code, exponent_steps, format_monomial, lcm_of
+from .monomials import (
+    Monomial, Steps, check_one_ring, code, exponent_steps, format_monomial, lcm_of,
+)
 
 
 class BasedComplex:
@@ -45,9 +47,7 @@ class BasedComplex:
                     raise ValueError(f"duplicate basis label {label!r}")
                 self._mdeg[label] = mdeg
                 self._degree_of[label] = i
-        # one monomial never mixes rings, so its first variable names its ring
-        if len({type(m.exps[0][0]) for m in self._mdeg.values() if m.exps}) > 1:
-            raise ValueError("cells from two rings: grid variables x[i,j] and plain ones x[i]")
+        check_one_ring(self._mdeg.values())
 
         out: dict[str, list[tuple[str, int]]] = {l: [] for l in self._mdeg}
         for (src, tgt), sign in diff.items():
@@ -367,18 +367,17 @@ def _inside(a: int, used: int, has: Mapping[int, int], items: int) -> int:
 # -- standard builders ---------------------------------------------------------
 
 
-def taylor_complex(gens: Sequence[Monomial], top: int | None = None) -> BasedComplex:
-    """Taylor complex on the given monomials (through degree ``top`` if set);
-    subsets are labeled by their sorted index sets."""
+def taylor_complex(gens: Sequence[Monomial]) -> BasedComplex:
+    """Taylor complex on the given monomials; subsets are labeled by their
+    sorted index sets."""
     k = len(gens)
-    cap = k if top is None else min(top, k)
     basis: list[list[tuple[str, Monomial]]] = [[("1", Monomial.one())]]
     diff: dict[tuple[str, str], int] = {}
 
     def label(subset: tuple[int, ...]) -> str:
         return "e(" + ",".join(str(s) for s in subset) + ")"
 
-    for size in range(1, cap + 1):
+    for size in range(1, k + 1):
         layer = []
         for subset in combinations(range(k), size):
             mdeg = lcm_of(gens[s] for s in subset)
@@ -404,6 +403,7 @@ def lcm_closure(monomials: Iterable[Monomial], degree_cap: int | None = None) ->
     """Closure of the given monomials under pairwise lcm (hence under subset
     lcms), optionally discarding lcms above a total-degree cap."""
     gens = [m for m in set(monomials) if not m.is_one()]
+    check_one_ring(gens)
     if degree_cap is not None:
         gens = [m for m in gens if m.degree <= degree_cap]
     # an lcm is the OR of the exponent codes, and its degree their bit
@@ -591,10 +591,22 @@ def _cones(standard: int, s: int) -> list[int]:
     return [standard & ~lack & ~(standard << (1 << k)) for k, lack in enumerate(_lacking(s))]
 
 
+# The longest int that ``_members`` walks by lowest set bits; a longer one
+# (a 2^s-bit set of subsets) is scanned as a binary string, since each step
+# x & -x costs time in proportion to the length of x.
+WALK_BITS = 1024
+
+
 def _members(bits: int) -> list[int]:
     """The positions of the set bits, lowest first."""
-    digits = bin(bits)[:1:-1]
     members = []
+    if bits.bit_length() <= WALK_BITS:
+        while bits:
+            low = bits & -bits
+            members.append(low.bit_length() - 1)
+            bits ^= low
+        return members
+    digits = bin(bits)[:1:-1]
     at = digits.find("1")
     while at >= 0:
         members.append(at)

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
-from .complexes import BasedComplex
+from .complexes import BasedComplex, _members
 from .errors import SizeCap
 from .gfp import DEFAULT_PRIME, cell_homology
 from .monomials import format_monomial
@@ -25,14 +25,9 @@ from .monomials import format_monomial
 # The most atoms a closed lower interval may have for its atom orderings to
 # be checked; a larger interval is refused with SizeCap before any work.
 MAX_ATOMS = 12
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+# The deepest recursion into upper intervals that an atom-ordering check
+# makes before it gives up with SizeCap.
+MAX_DEPTH = 8
 
 
 class FacePoset:
@@ -65,13 +60,13 @@ class FacePoset:
         self.down = [0] * size
         for k in range(size):
             acc = 1 << k
-            for t in _bits(self.lower[k]):
+            for t in _members(self.lower[k]):
                 acc |= self.down[t]
             self.down[k] = acc
         self.up = [0] * size
         for k in reversed(range(size)):
             acc = 1 << k
-            for t in _bits(self.upper[k]):
+            for t in _members(self.upper[k]):
                 acc |= self.up[t]
             self.up[k] = acc
 
@@ -83,7 +78,7 @@ class FacePoset:
 
     def labels_of(self, mask: int) -> list[str]:
         """The elements of an index mask, sorted by label."""
-        return sorted(self.elements[k] for k in _bits(mask))
+        return sorted(self.elements[k] for k in _members(mask))
 
     def le(self, x: str, y: str) -> bool:
         return bool(self.down[self.index[y]] >> self.index[x] & 1)
@@ -110,9 +105,9 @@ def is_thin(poset: FacePoset) -> bool:
     lower, upper = poset.lower, poset.upper
     for mids in lower:
         grands = 0
-        for z in _bits(mids):
+        for z in _members(mids):
             grands |= lower[z]
-        for x in _bits(grands):
+        for x in _members(grands):
             if (mids & upper[x]).bit_count() != 2:
                 return False
     return True
@@ -140,7 +135,7 @@ def order_complex_reduced_homology(
     # chains made the CW certificate of cw-check at 2x7 take 1.25-1.59 s
     # instead of 0.76-0.85 s.
     def extend(chain: int, above: int) -> None:
-        for z in _bits(above):
+        for z in _members(above):
             longer = chain | 1 << z
             chains.append(longer)
             extend(longer, up[z] & above & ~(1 << z))
@@ -169,11 +164,10 @@ def recursive_atom_ordering_check(
     atom_order: Sequence[str] | None = None,
     atom_key: Callable[[str], object] | None = None,
     scramble: Callable[[str, list[str]], list[str]] | None = None,
-    max_atoms: int = MAX_ATOMS,
-    max_depth: int = 8,
 ) -> bool:
     """Verify that the given ordering of the atoms of [bottom, x] is a
-    recursive atom ordering.
+    recursive atom ordering.  Raises SizeCap on an interval with more than
+    MAX_ATOMS atoms or a recursion deeper than MAX_DEPTH.
 
     Upper intervals are ordered by the induced rule: atoms lying above an
     earlier sibling first, then the rest, both sorted by ``atom_key``
@@ -188,7 +182,7 @@ def recursive_atom_ordering_check(
         atom_key = lambda label: cx.mdeg(label).sort_key()
 
     def ordered(mask: int) -> list[int]:
-        return sorted(_bits(mask), key=lambda k: (atom_key(labels[k]), labels[k]))
+        return sorted(_members(mask), key=lambda k: (atom_key(labels[k]), labels[k]))
 
     def rank(k: int) -> int:
         return cx.degree_of(labels[k])
@@ -196,10 +190,10 @@ def recursive_atom_ordering_check(
     def check(bottom: int, top: int, ordering: list[int], depth: int) -> bool:
         if rank(top) - rank(bottom) <= 1:
             return True
-        if depth > max_depth:
-            raise SizeCap(f"recursive atom ordering deeper than {max_depth}")
-        if len(ordering) > max_atoms:
-            raise SizeCap(f"interval with more than {max_atoms} atoms")
+        if depth > MAX_DEPTH:
+            raise SizeCap(f"recursive atom ordering deeper than {MAX_DEPTH}")
+        if len(ordering) > MAX_ATOMS:
+            raise SizeCap(f"interval with more than {MAX_ATOMS} atoms")
         # above[j]: the elements above one of the first j atoms.
         above = [0]
         for a in ordering:
@@ -208,7 +202,7 @@ def recursive_atom_ordering_check(
         #      of a_j with z <= y and a_k <= z.
         for j, aj in enumerate(ordering):
             witnesses = upper[aj] & above[j]
-            for y in _bits(up[aj] & above[j] & down[top]):
+            for y in _members(up[aj] & above[j] & down[top]):
                 if not down[y] & witnesses:
                     return False
         # (i) recurse into [a_j, top] with the induced ordering.
@@ -326,8 +320,8 @@ def upper_semimodularity_check(poset: FacePoset, mu: str, nu: str) -> bool:
     covered by a common interval element."""
     upper = poset.upper
     interval = poset.interval(mu, nu)
-    for x in _bits(interval):
-        ups = list(_bits(upper[x] & interval))
+    for x in _members(interval):
+        ups = _members(upper[x] & interval)
         for a, u in enumerate(ups):
             for v in ups[a + 1 :]:
                 if not upper[u] & upper[v] & interval:

@@ -12,7 +12,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import Iterable
 
 from .errors import NotEquigenerated, NotSquarefree, UnitIdeal
-from .monomials import Monomial
+from .monomials import Monomial, check_one_ring
 
 
 class MonomialIdeal:
@@ -67,9 +67,10 @@ class MonomialIdeal:
 
 
 def _minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    pool = sorted(set(gens), key=lambda g: (g.degree, g.sort_key()))
+    pool = set(gens)
+    check_one_ring(pool)
     out: list[Monomial] = []
-    for g in pool:
+    for g in sorted(pool, key=lambda g: (g.degree, g.sort_key())):
         if not any(h.divides(g) for h in out):
             out.append(g)
     return tuple(out)

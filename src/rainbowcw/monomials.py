@@ -81,8 +81,8 @@ class Monomial:
         return _ONE
 
     @staticmethod
-    def variable(v: Variable, e: int = 1) -> "Monomial":
-        return Monomial({v: e})
+    def variable(v: Variable) -> "Monomial":
+        return Monomial({v: 1})
 
     @staticmethod
     def grid(*pairs: tuple[int, int]) -> "Monomial":
@@ -124,11 +124,6 @@ class Monomial:
         return all(e == 1 for _, e in self.exps)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        a, b = self.mask, other.mask
-        if a >= 0 and b >= 0 and not a & b:
-            # Coprime squarefree grid monomials: the product is squarefree
-            # too, with the union of the masks.
-            return from_mask(a | b)
         m = dict(self.exps)
         for v, e in other.exps:
             m[v] = m.get(v, 0) + e
@@ -199,6 +194,15 @@ def from_mask(mask: int) -> Monomial:
     mono._hash = hash(exps)
     mono.mask = mask
     return mono
+
+
+def check_one_ring(monomials: Iterable[Monomial]) -> None:
+    """Raise ValueError if the monomials mix grid variables ``x[i,j]`` and
+    plain ones ``x[i]``, which lie in different rings.  One monomial never
+    mixes them (its exponents could not be sorted), so its first variable
+    names its ring."""
+    if len({type(m.exps[0][0]) for m in monomials if m.exps}) > 1:
+        raise ValueError("monomials from two rings: grid variables x[i,j] and plain ones x[i]")
 
 
 def lcm_of(monomials: Iterable[Monomial]) -> Monomial:

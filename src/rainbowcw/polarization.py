@@ -318,25 +318,6 @@ def regular_profile_ok(profiles: list[list[int]]) -> bool:
     return True
 
 
-def hilbert_function(
-    gens: Sequence[Monomial | tuple[Monomial, Monomial]], max_degree: int, variables: Sequence
-) -> list[int]:
-    """Hilbert function, in degrees 0..max_degree, of the quotient of
-    k[variables] by monomials and differences of two variables."""
-    return hilbert_profile(gens, [], max_degree, variables)[0]
-
-
-def verify_regular_sequence(
-    gens: Sequence[Monomial | tuple[Monomial, Monomial]],
-    sigma: Sequence[Monomial | tuple[Monomial, Monomial]],
-    max_degree: int,
-    variables: Sequence,
-) -> bool:
-    """Check that each prefix of ``sigma`` drops the Hilbert function by a
-    (1 - t) convolution, up to ``max_degree``."""
-    return regular_profile_ok(hilbert_profile(gens, sigma, max_degree, variables))
-
-
 @dataclass
 class VariableDifferencesReport:
     criterion: bool

@@ -4,7 +4,6 @@ from rainbowcw import (
     BasedComplex,
     Monomial,
     MonomialIdeal,
-    hilbert_function,
     is_linear_strand_of_module,
     koszul_betti,
     koszul_complex,
@@ -14,10 +13,10 @@ from rainbowcw import (
     regularity,
     sparse_eagon_northcott,
     taylor_complex,
-    verify_regular_sequence,
 )
 from rainbowcw import alexander_dual, diagonal_order
 from rainbowcw.complexes import BettiTable, lcm_closure
+from rainbowcw.polarization import hilbert_profile, regular_profile_ok
 from rainbowcw.errors import EmptyTable, GradingViolation, NotHomogeneous, NotMinimal
 from rainbowcw.ideals import _all_monomials
 
@@ -51,11 +50,16 @@ def test_strand_dimensions():
     assert cx.strand_at(total).dims == [1, 3, 2]
 
 
+def _truncated(cx, top):
+    """The subcomplex of the cells in degrees <= top."""
+    return cx.restrict(l for l in cx.all_labels() if cx.degree_of(l) <= top)
+
+
 def test_is_resolution():
     assert sparse_eagon_northcott(diagonal_order(2, 3)).is_resolution()
     assert koszul_complex([(1, j) for j in range(1, 5)]).is_resolution()
     gens = [parse_monomial(s) for s in ("x[1] * x[2]", "x[2] * x[3]", "x[1] * x[3]")]
-    truncated = taylor_complex(gens, top=2)  # drop the top cell: a syzygy survives
+    truncated = _truncated(taylor_complex(gens), 2)  # drop the top cell: a syzygy survives
     assert truncated.check_complex()
     assert not truncated.is_resolution()
 
@@ -201,17 +205,18 @@ def _standard_count(gens, d, n_vars):
 
 def test_hilbert_function():
     variables = [1, 2]
-    assert hilbert_function([], 3, variables) == [1, 2, 3, 4]
+    assert hilbert_profile([], [], 3, variables) == [[1, 2, 3, 4]]
     diff = (Monomial.variable(1), Monomial.variable(2))
-    assert hilbert_function([diff], 3, variables) == [1, 1, 1, 1]
-    assert hilbert_function([parse_monomial("x[1] * x[2]"), diff], 3, variables) == [1, 1, 0, 0]
+    assert hilbert_profile([diff], [], 3, variables) == [[1, 1, 1, 1]]
+    xy = parse_monomial("x[1] * x[2]")
+    assert hilbert_profile([xy, diff], [], 3, variables) == [[1, 1, 0, 0]]
     with pytest.raises(NotHomogeneous):
-        hilbert_function([(Monomial.variable(1), parse_monomial("x[2]^2"))], 2, variables)
+        hilbert_profile([(Monomial.variable(1), parse_monomial("x[2]^2"))], [], 2, variables)
 
 
 def test_hilbert_matches_enumeration():
     gens = [parse_monomial(s) for s in ("x[1]^2 * x[2]", "x[2] * x[3]^2", "x[1] * x[3]")]
-    hf = hilbert_function(gens, 6, [1, 2, 3])
+    [hf] = hilbert_profile(gens, [], 6, [1, 2, 3])
     for d in range(7):
         assert hf[d] == _standard_count(gens, d, 3)
 
@@ -223,13 +228,14 @@ def test_verify_regular_sequence():
     order = diagonal_order(2, 3)
     ideal = initial_ideal_maximal_minors(order)
     variables = [(i, j) for i in (1, 2) for j in (1, 2, 3)]
-    assert verify_regular_sequence(list(ideal.gens), boocher_sequence(2, 3), 4, variables)
+    profiles = hilbert_profile(list(ideal.gens), boocher_sequence(2, 3), 4, variables)
+    assert regular_profile_ok(profiles)
 
     xy = parse_monomial("x[1] * x[2]")
     diff = (Monomial.variable(1), Monomial.variable(2))
-    assert verify_regular_sequence([xy], [diff], 3, [1, 2])
+    assert regular_profile_ok(hilbert_profile([xy], [diff], 3, [1, 2]))
     # x1 is a zerodivisor mod (x1 x2): the Hilbert drop fails in degree 2
-    assert not verify_regular_sequence([xy], [Monomial.variable(1)], 3, [1, 2])
+    assert not regular_profile_ok(hilbert_profile([xy], [Monomial.variable(1)], 3, [1, 2]))
 
 
 def test_lcm_closure_contains_subset_lcms():
@@ -335,7 +341,7 @@ def _plain_sweep(cx, p):
 
 
 def _top_truncated(cx):
-    return cx.restrict(l for l in cx.all_labels() if cx.degree_of(l) < cx.top_degree)
+    return _truncated(cx, cx.top_degree - 1)
 
 
 def _unit_survives_below():
@@ -370,7 +376,7 @@ def _sweep_corpus():
     cases.append(("koszul-plain-4", koszul_complex([1, 2, 3, 4])))
     gens = [parse_monomial(s) for s in ("x[1] * x[2]", "x[2] * x[3]", "x[1] * x[3]", "x[3]^2")]
     cases.append(("taylor-plain", taylor_complex(gens)))
-    cases.append(("taylor-plain-truncated", taylor_complex(gens, top=2)))
+    cases.append(("taylor-plain-truncated", _truncated(taylor_complex(gens), 2)))
     return cases
 
 
@@ -416,3 +422,15 @@ def test_cells_from_two_rings_are_refused():
              [("a", parse_monomial("x[1]")), ("b", parse_monomial("x[1,1]"))]]
     with pytest.raises(ValueError, match="two rings"):
         BasedComplex(basis, {("a", "1"): 1, ("b", "1"): 1})
+
+
+# Each once ended in a TypeError from sorting an int variable against a
+# tuple one.
+@pytest.mark.parametrize(
+    "build",
+    [MonomialIdeal, lcm_closure, lambda gens: koszul_betti(MonomialIdeal(gens))],
+    ids=["ideal", "lcm-closure", "koszul-betti"],
+)
+def test_monomials_from_two_rings_are_refused(build):
+    with pytest.raises(ValueError, match="two rings"):
+        build([parse_monomial("x[1]"), parse_monomial("x[1,1]")])

@@ -122,11 +122,24 @@ def test_recursive_atom_ordering_scrambled_fails(order35):
     assert flagged
 
 
-def test_atom_ordering_size_cap():
+def test_atom_ordering_size_cap(monkeypatch):
     B = boolean_poset(4)
     top = next(x for x, r in ranked(B) if r == 4)
-    with pytest.raises(SizeCap):
-        recursive_atom_ordering_check(B, top, max_atoms=2)
+    monkeypatch.setattr("rainbowcw.cwposet.MAX_ATOMS", 2)
+    with pytest.raises(SizeCap, match="more than 2 atoms"):
+        recursive_atom_ordering_check(B, top)
+
+
+def test_atom_ordering_depth_cap(monkeypatch):
+    # [bottom, top] of a rank-3 Boolean lattice is checked at depth 1 and its
+    # upper intervals [atom, top], of length 2, at depth 2
+    B = boolean_poset(3)
+    top = next(x for x, r in ranked(B) if r == 3)
+    monkeypatch.setattr("rainbowcw.cwposet.MAX_DEPTH", 2)
+    assert recursive_atom_ordering_check(B, top)
+    monkeypatch.setattr("rainbowcw.cwposet.MAX_DEPTH", 1)
+    with pytest.raises(SizeCap, match="deeper than 1"):
+        recursive_atom_ordering_check(B, top)
 
 
 def test_is_cw_poset_refuses_too_many_atoms_up_front(monkeypatch):

@@ -29,6 +29,7 @@ from rainbowcw import (
 )
 from rainbowcw.complexes import (
     MAX_SUPPORT,
+    WALK_BITS,
     _cones,
     _lacking,
     _members,
@@ -213,11 +214,31 @@ def test_lacking_is_the_subsets_without_each_element(s):
     )
 
 
+def _set_bits(x):
+    """Each position tested in turn, in 4096-bit windows so that the shifts
+    of a 2^20-bit int stay short."""
+    out = []
+    for base in range(0, x.bit_length(), 4096):
+        window = x >> base & (1 << 4096) - 1
+        out += [base + k for k in range(window.bit_length()) if window >> k & 1]
+    return out
+
+
 def test_members_lists_set_bits_lowest_first():
     assert _members(0) == []
     assert _members(1) == [0]
     assert _members(0b1011000) == [3, 4, 6]
     assert _members(1 << 5000 | 1 << 17) == [17, 5000]
+    rng = random.Random(15)
+    cases = [0] + [1 << k for k in (0, 1, 63, 64, 299, 5000)]
+    # one bit below, at and above the switch from bit steps to the string scan
+    for length in (WALK_BITS - 1, WALK_BITS, WALK_BITS + 1):
+        cases += [1 << length - 1, (1 << length) - 1, rng.getrandbits(length) | 1 << length - 1]
+    for _ in range(300):
+        cases.append(sum(1 << rng.randrange(300) for _ in range(rng.randint(1, 12))))
+    cases += [(1 << (1 << 16)) - 1, rng.getrandbits(1 << 16), rng.getrandbits(1 << 20)]
+    for x in cases:
+        assert _members(x) == _set_bits(x)
 
 
 def test_oracle_refuses_the_unit_ideal_and_a_support_past_the_cap():
