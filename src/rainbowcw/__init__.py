@@ -10,9 +10,6 @@ from .complexes import (
     BettiTable,
     is_linear_strand_of_module,
     koszul_betti,
-    koszul_complex,
-    linear_strand,
-    regularity,
     taylor_complex,
 )
 from .cwposet import (
@@ -24,7 +21,6 @@ from .cwposet import (
     is_thin,
     open_interval_homology,
     recursive_atom_ordering_check,
-    upper_semimodularity_check,
 )
 from .determinantal import (
     PureComplex,
@@ -32,16 +28,12 @@ from .determinantal import (
     initial_ideal_maximal_minors,
     initial_minor,
     initial_term,
-    minor_terms,
     overlap_condition,
     rainbow_dfi,
     random_term_order,
 )
 from .eagon_northcott import (
     ENBasisElement,
-    atom_order_witness,
-    eagon_northcott_complex,
-    semimodularity_witness,
     sparse_eagon_northcott,
     valid_multidegrees,
     verify_differential_formula,
@@ -60,12 +52,10 @@ from .polarization import (
     hilbert_profile,
     linearity_criterion,
     specialize,
-    variable_differences_regular,
 )
 from .strands import (
     chain_sign,
     induced_subcomplex,
-    is_linearly_connected,
     neighbors,
     q_morphism,
     rainbow_linear_strand,

@@ -168,10 +168,12 @@ def _parse_facet(spec: str, n: int, m: int) -> tuple[int, ...]:
 
 
 def _delta_from_args(args) -> PureComplex:
-    if args.delta_file:
-        delta = _load_pure_complex(args.delta_file)
-    else:
-        delta = alexander_dual_complex(_load_pure_complex(args.dual_file))
+    """Delta from --delta-file, or the dual of --dual-file, less the
+    --delete facets.  The size caps are checked on the loaded file, before
+    a dual lists every n-subset of [m]."""
+    loaded = _load_pure_complex(args.delta_file or args.dual_file)
+    _check_size(loaded.n, loaded.m, args.force)
+    delta = loaded if args.delta_file else alexander_dual_complex(loaded)
     if args.delete:
         drop = set()
         for spec in args.delete:
@@ -233,7 +235,6 @@ def cmd_sparse_en(args) -> int:
 
 def cmd_strand(args) -> int:
     delta = _delta_from_args(args)
-    _check_size(delta.n, delta.m, args.force)
     order = _load_order(args, delta.n, delta.m)
     p = _prime(args)
     strand = rainbow_linear_strand(delta, order)
@@ -299,7 +300,6 @@ def cmd_polarize(args) -> int:
         raise RainbowError(f"--max-degree must be at least 1, got {args.max_degree}")
     p = _prime(args)
     delta = _delta_from_args(args)
-    _check_size(delta.n, delta.m, args.force)
     order = _load_order(args, delta.n, delta.m)
     report = certify_polarization(delta, order, max_degree=args.max_degree)
     manifest = RunManifest(

@@ -20,11 +20,11 @@ from functools import cache
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import EmptyTable, GradingViolation, NotMinimal, SizeCap, UnitIdeal
+from .errors import GradingViolation, SizeCap, UnitIdeal
 from .gfp import DEFAULT_PRIME, VectorComplex, cell_homology, check_prime
 from .ideals import MonomialIdeal
 from .monomials import (
-    Monomial, Steps, check_one_ring, code, exponent_steps, format_monomial, lcm_of,
+    Monomial, Steps, check_one_ring, code, exponent_steps, format_monomial, lcm_of, members,
 )
 
 
@@ -142,13 +142,6 @@ class BasedComplex:
                     return False
         return True
 
-    def is_minimal(self) -> bool:
-        return all(
-            self._mdeg[src] != self._mdeg[tgt]
-            for src, ents in self._out.items()
-            for tgt, _ in ents
-        )
-
     # -- strands and exactness ----------------------------------------------
 
     def _cell_index(self) -> _CellIndex:
@@ -193,7 +186,7 @@ class BasedComplex:
         dims = [0] * len(self._basis)
         diffs: list[list[dict[int, int]]] = [[] for _ in dims]
         row: dict[int, int] = {}
-        for k in _members(kept):
+        for k in members(kept):
             i = degrees[k]
             row[k] = dims[i]
             dims[i] += 1
@@ -256,7 +249,7 @@ class BasedComplex:
                 variables.append(((below & gwith[x]).bit_count(), x))
             for _, x in sorted(variables):
                 gamma = 0
-                for j in _members(below & ~gwith[x]):
+                for j in members(below & ~gwith[x]):
                     gamma |= gens[j]
                 modulo = acyclic.get(gamma)
                 if modulo is not None:
@@ -390,12 +383,6 @@ def taylor_complex(gens: Sequence[Monomial]) -> BasedComplex:
     return BasedComplex(basis, diff)
 
 
-def koszul_complex(variables: Sequence) -> BasedComplex:
-    """Koszul complex on a list of distinct variables, as the Taylor complex
-    on the corresponding degree-one monomials."""
-    return taylor_complex([Monomial.variable(v) for v in variables])
-
-
 # -- lcm closures ----------------------------------------------------------------
 
 
@@ -463,15 +450,6 @@ class BettiTable:
     def rows_present(self) -> set[int]:
         return {j - i for (i, j) in self.coarse()}
 
-    def shifted_to_ideal(self) -> "BettiTable":
-        """Reindex a quotient table R/I to the ideal I: beta_i(I) is
-        beta_{i+1}(R/I), and the unit in degree 0 drops."""
-        out = BettiTable()
-        for (i, alpha), rank in self.entries.items():
-            if i >= 1:
-                out.add(i - 1, alpha, rank)
-        return out
-
     def to_csv_rows(self) -> list[tuple[int, int, str, int]]:
         rows = [
             (i, alpha.degree, format_monomial(alpha), rank)
@@ -492,15 +470,6 @@ class BettiTable:
             row = self.row(r)
             lines.append(f"{r:>4}:  " + " ".join(f"{row.get(i, 0) or '.':>5}" for i in range(imax + 1)))
         return "\n".join(lines)
-
-
-def regularity(table: BettiTable) -> int:
-    """Castelnuovo-Mumford regularity read off a Betti table: the maximum of
-    (total degree - homological degree) over its entries."""
-    coarse = table.coarse()
-    if not coarse:
-        raise EmptyTable("regularity of an empty Betti table")
-    return max(j - i for (i, j) in coarse)
 
 
 # -- the Koszul homology oracle --------------------------------------------------
@@ -537,7 +506,7 @@ def koszul_strand_homology(
     standard = _standard_subsets(ideal, alpha)
     if s == 0:
         return [standard]
-    return cell_homology(_members(min(_cones(standard, s), key=int.bit_count)), s, p)
+    return cell_homology(members(min(_cones(standard, s), key=int.bit_count)), s, p)
 
 
 @cache
@@ -591,29 +560,6 @@ def _cones(standard: int, s: int) -> list[int]:
     return [standard & ~lack & ~(standard << (1 << k)) for k, lack in enumerate(_lacking(s))]
 
 
-# The longest int that ``_members`` walks by lowest set bits; a longer one
-# (a 2^s-bit set of subsets) is scanned as a binary string, since each step
-# x & -x costs time in proportion to the length of x.
-WALK_BITS = 1024
-
-
-def _members(bits: int) -> list[int]:
-    """The positions of the set bits, lowest first."""
-    members = []
-    if bits.bit_length() <= WALK_BITS:
-        while bits:
-            low = bits & -bits
-            members.append(low.bit_length() - 1)
-            bits ^= low
-        return members
-    digits = bin(bits)[:1:-1]
-    at = digits.find("1")
-    while at >= 0:
-        members.append(at)
-        at = digits.find("1", at + 1)
-    return members
-
-
 # Each multidegree alpha of the sweep holds its standard subsets and cones as
 # ints of 2^|supp(alpha)| bits, and without a degree cap the lcm of all
 # generators is one of them: 22 variables take 512 KiB per set, 30 would take
@@ -655,23 +601,7 @@ def koszul_betti(
     return table
 
 
-# -- linear strands ------------------------------------------------------------------
-
-
-def linear_strand(cx: BasedComplex) -> BasedComplex:
-    """Restrict a minimal graded complex (augmented at degree 0) to the basis
-    elements of total degree d + (i - 1) in homological degree i >= 1, where d
-    is the least total degree of a degree-1 element."""
-    if not cx.is_minimal():
-        raise NotMinimal("linear strand of a nonminimal complex is not defined")
-    firsts = cx.labels(1)
-    if not firsts:
-        return cx
-    d = min(cx.mdeg(l).degree for l in firsts)
-    return cx.restrict(
-        l for l in cx.all_labels()
-        if cx.degree_of(l) == 0 or cx.mdeg(l).degree == d + cx.degree_of(l) - 1
-    )
+# -- the linear-strand criterion -----------------------------------------------------
 
 
 def is_linear_strand_of_module(cx: BasedComplex, p: int = DEFAULT_PRIME) -> bool:

@@ -17,10 +17,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .complexes import BasedComplex, _members
+from .complexes import BasedComplex
 from .errors import SizeCap
 from .gfp import DEFAULT_PRIME, cell_homology
-from .monomials import format_monomial
+from .monomials import format_monomial, members
 
 # The most atoms a closed lower interval may have for its atom orderings to
 # be checked; a larger interval is refused with SizeCap before any work.
@@ -60,13 +60,13 @@ class FacePoset:
         self.down = [0] * size
         for k in range(size):
             acc = 1 << k
-            for t in _members(self.lower[k]):
+            for t in members(self.lower[k]):
                 acc |= self.down[t]
             self.down[k] = acc
         self.up = [0] * size
         for k in reversed(range(size)):
             acc = 1 << k
-            for t in _members(self.upper[k]):
+            for t in members(self.upper[k]):
                 acc |= self.up[t]
             self.up[k] = acc
 
@@ -78,18 +78,11 @@ class FacePoset:
 
     def labels_of(self, mask: int) -> list[str]:
         """The elements of an index mask, sorted by label."""
-        return sorted(self.elements[k] for k in _members(mask))
-
-    def le(self, x: str, y: str) -> bool:
-        return bool(self.down[self.index[y]] >> self.index[x] & 1)
+        return sorted(self.elements[k] for k in members(mask))
 
     def interval(self, x: str, y: str) -> int:
         """The closed interval [x, y] as an index mask (0 unless x <= y)."""
         return self.up[self.index[x]] & self.down[self.index[y]]
-
-    def atoms(self, x: str, y: str) -> list[str]:
-        """Elements covering x that lie below y, sorted by label."""
-        return self.labels_of(self.upper[self.index[x]] & self.down[self.index[y]])
 
 
 def face_poset(cx: BasedComplex) -> FacePoset:
@@ -105,9 +98,9 @@ def is_thin(poset: FacePoset) -> bool:
     lower, upper = poset.lower, poset.upper
     for mids in lower:
         grands = 0
-        for z in _members(mids):
+        for z in members(mids):
             grands |= lower[z]
-        for x in _members(grands):
+        for x in members(grands):
             if (mids & upper[x]).bit_count() != 2:
                 return False
     return True
@@ -135,7 +128,7 @@ def order_complex_reduced_homology(
     # chains made the CW certificate of cw-check at 2x7 take 1.25-1.59 s
     # instead of 0.76-0.85 s.
     def extend(chain: int, above: int) -> None:
-        for z in _members(above):
+        for z in members(above):
             longer = chain | 1 << z
             chains.append(longer)
             extend(longer, up[z] & above & ~(1 << z))
@@ -182,7 +175,7 @@ def recursive_atom_ordering_check(
         atom_key = lambda label: cx.mdeg(label).sort_key()
 
     def ordered(mask: int) -> list[int]:
-        return sorted(_members(mask), key=lambda k: (atom_key(labels[k]), labels[k]))
+        return sorted(members(mask), key=lambda k: (atom_key(labels[k]), labels[k]))
 
     def rank(k: int) -> int:
         return cx.degree_of(labels[k])
@@ -202,7 +195,7 @@ def recursive_atom_ordering_check(
         #      of a_j with z <= y and a_k <= z.
         for j, aj in enumerate(ordering):
             witnesses = upper[aj] & above[j]
-            for y in _members(up[aj] & above[j] & down[top]):
+            for y in members(up[aj] & above[j] & down[top]):
                 if not down[y] & witnesses:
                     return False
         # (i) recurse into [a_j, top] with the induced ordering.
@@ -313,20 +306,6 @@ def is_cw_poset(
             failures.append(f"recursive atom ordering of [bottom, {x}]")
             break
     return CWCertificate(has_least, nontrivial, thin, spheres, orderings, failures)
-
-
-def upper_semimodularity_check(poset: FacePoset, mu: str, nu: str) -> bool:
-    """Every pair of interval elements covering a common interval element is
-    covered by a common interval element."""
-    upper = poset.upper
-    interval = poset.interval(mu, nu)
-    for x in _members(interval):
-        ups = _members(upper[x] & interval)
-        for a, u in enumerate(ups):
-            for v in ups[a + 1 :]:
-                if not upper[u] & upper[v] & interval:
-                    return False
-    return True
 
 
 def export_poset(poset: FacePoset, fmt: str = "JSON") -> str:

@@ -28,13 +28,6 @@ class SignedTerm:
     monomial: Monomial
 
 
-def minor_terms(n: int, cols: Sequence[int]) -> list[SignedTerm]:
-    """All n! permutation terms of the maximal minor on the given columns of
-    the generic n x m matrix, with permutation signs."""
-    cols = _sorted_cols(n, cols)
-    return [SignedTerm(sign, _term(cols, perm)) for perm, sign in _signed_permutations(n)]
-
-
 @cache
 def _signed_permutations(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Every permutation of range(n) in lexicographic order, with its sign."""
@@ -158,10 +151,6 @@ class PureComplex:
         except ValueError as exc:
             raise ParseError(f"bad pure-complex JSON: {exc}") from exc
 
-    @staticmethod
-    def full(n: int, m: int) -> "PureComplex":
-        return PureComplex(n, m, combinations(range(1, m + 1), n))
-
 
 def alexander_dual_complex(delta: PureComplex) -> PureComplex:
     """The complementary pure complex: all n-subsets of [m] not in delta."""
@@ -205,19 +194,3 @@ def random_pure_complex(n: int, m: int, rng: random.Random, n_facets: int) -> Pu
     facets = rng.sample(list(combinations(range(1, m + 1), n)), n_facets)
     return PureComplex(n, m, facets)
 
-
-def random_overlap_dual(
-    n: int, m: int, rng: random.Random, max_facets: int | None = None
-) -> PureComplex:
-    """Random set of facets with pairwise overlap < n-1, by greedy sampling;
-    used as a dual complex in the linearity experiments."""
-    pool = list(combinations(range(1, m + 1), n))
-    rng.shuffle(pool)
-    target = rng.randint(0, max_facets) if max_facets is not None else len(pool)
-    chosen: list[tuple[int, ...]] = []
-    for f in pool:
-        if len(chosen) >= target:
-            break
-        if all(len(set(f) & set(g)) < n - 1 for g in chosen):
-            chosen.append(f)
-    return PureComplex(n, m, chosen)

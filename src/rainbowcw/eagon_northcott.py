@@ -1,4 +1,4 @@
-"""The Eagon-Northcott complex of the generic matrix and its sparse variant.
+"""The sparse Eagon-Northcott complex of the generic matrix.
 
 The classical complex lives over divided powers of the row space tensored
 with exterior powers of the column space; its basis elements are pairs
@@ -32,10 +32,6 @@ class ENBasisElement:
     alpha: tuple[int, ...]
     cols: tuple[int, ...]
 
-    @property
-    def homological_degree(self) -> int:
-        return sum(self.alpha) + 1
-
 
 def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     if parts == 1:
@@ -44,54 +40,6 @@ def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for first in range(total + 1):
         for rest in _weak_compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-@dataclass
-class ENComplex:
-    """The classical Eagon-Northcott complex: ranks and contraction terms.
-
-    The degree-1 map sends f_I to the full maximal minor on I, which is not a
-    monomial; it is kept formal here and replaced by the initial term when
-    the complex is homogenized.
-    """
-
-    n: int
-    m: int
-    layers: list[list[ENBasisElement]]
-
-    def ranks(self) -> tuple[int, ...]:
-        return (1,) + tuple(len(layer) for layer in self.layers[1:])
-
-    def differential(
-        self, e: ENBasisElement
-    ) -> list[tuple[int, tuple[int, int], ENBasisElement]]:
-        """Contraction terms of a basis element in homological degree >= 2:
-        (sign, variable (i, j), target)."""
-        out = []
-        for i in range(1, self.n + 1):
-            if e.alpha[i - 1] == 0:
-                continue
-            alpha = tuple(
-                a - 1 if k == i - 1 else a for k, a in enumerate(e.alpha)
-            )
-            for pos, j in enumerate(e.cols):
-                cols = e.cols[:pos] + e.cols[pos + 1 :]
-                out.append(((-1) ** pos, (i, j), ENBasisElement(alpha, cols)))
-        return out
-
-
-def eagon_northcott_complex(n: int, m: int) -> ENComplex:
-    if n > m:
-        raise ValueError(f"need n <= m, got {n} > {m}")
-    layers: list[list[ENBasisElement]] = [[]]
-    for ell in range(1, m - n + 2):
-        layer = [
-            ENBasisElement(alpha, cols)
-            for alpha in _weak_compositions(ell - 1, n)
-            for cols in combinations(range(1, m + 1), n + ell - 1)
-        ]
-        layers.append(layer)
-    return ENComplex(n, m, layers)
 
 
 def sparse_eagon_northcott(order: TermOrder) -> BasedComplex:
@@ -104,13 +52,14 @@ def sparse_eagon_northcott(order: TermOrder) -> BasedComplex:
     attaining the maximum survive.  Labels are the multidegrees themselves,
     which are pairwise distinct (a collision aborts construction).
 
-    The elements and contraction terms are those of
-    :func:`eagon_northcott_complex` and :meth:`ENComplex.differential`, in
-    the same order, kept as plain ``(alpha, cols)`` keys with the support
-    mask and label of each multidegree.  A product x_ij * mdeg(target) is
-    the union of two masks: column j is not among the target's columns, so
-    the two are coprime.  A grid with more than ``STRIDE`` columns has no
-    masks and raises ``SizeCap``."""
+    The elements and contraction terms are those of the classical complex
+    (``eagon_northcott_complex`` in ``tests/test_eagon_northcott.py``, the
+    reference this build is checked against), in the same order, kept as
+    plain ``(alpha, cols)`` keys with the support mask and label of each
+    multidegree.  A product x_ij * mdeg(target) is the union of two masks:
+    column j is not among the target's columns, so the two are coprime.  A
+    grid with more than ``STRIDE`` columns has no masks and raises
+    ``SizeCap``."""
     n, m = order.n, order.m
     if n > m:
         raise ValueError(f"need n <= m, got {n} > {m}")
@@ -258,86 +207,3 @@ def verify_multidegree_bijection(
     mdegs = [cx.mdeg(l) for l in labels]
     return len(set(mdegs)) == len(mdegs) and set(mdegs) == valid_multidegrees(order, ell)
 
-
-# -- combinatorial witnesses used by the shellability argument -----------------
-
-
-def _swap(mono: Monomial, row: int, old: int, new: int) -> Monomial:
-    return (mono / Monomial.variable((row, old))) * Monomial.variable((row, new))
-
-
-def semimodularity_witness(order: TermOrder) -> bool:
-    """Exhaustive check of the semimodularity used by the shellability
-    argument: the valid multidegrees are closed under block-shaped divisors,
-    and inside any interval bounded by a valid multidegree, two covers of a
-    common element are both covered by their lcm.
-
-    (The unconditional two-swap statement fails: two single swaps of a
-    generator can land in the generator set while the double swap does not.
-    Only intervals with a valid upper bound are semimodular, which is what
-    the recursive atom orderings need.)"""
-    n = order.n
-    top = order.m - order.n + 1
-    valid = {ell: valid_multidegrees(order, ell) for ell in range(1, top + 1)}
-
-    # (a) removing one column from a block of size >= 2 stays valid
-    for ell in range(2, top + 1):
-        for w in valid[ell]:
-            for row, b in enumerate(decode_blocks(w, n), start=1):
-                if len(b) < 2:
-                    continue
-                for j in b:
-                    if w / Monomial.variable((row, j)) not in valid[ell - 1]:
-                        return False
-
-    # (b) two valid covers of a valid element, below a common valid bound,
-    #     are covered by their (valid) lcm
-    for ell in range(1, top - 1):
-        for mu in valid[ell]:
-            covers = [u for u in valid[ell + 1] if mu.divides(u)]
-            for u, v in product(covers, repeat=2):
-                if u == v:
-                    continue
-                z = u.lcm(v)
-                bounded = any(z.divides(w) for e2 in range(ell + 2, top + 1) for w in valid[e2])
-                if bounded and z not in valid[ell + 2]:
-                    return False
-    return True
-
-
-def atom_order_witness(order: TermOrder) -> bool:
-    """For generators mu < nu whose lcm is a valid multidegree, some single
-    swap of nu toward mu is a generator strictly smaller than nu."""
-    gens = list(initial_ideal_maximal_minors(order).gens)
-    gen_set = set(gens)
-    n = order.n
-    for mu, nu in product(gens, repeat=2):
-        if mu == nu or not order.less(mu, nu):
-            continue
-        if not _lcm_is_valid(mu.lcm(nu), n, gen_set):
-            continue
-        mu_cols = {i: j for (i, j), _ in mu.exps}
-        nu_cols = {i: j for (i, j), _ in nu.exps}
-        found = False
-        for i in range(1, n + 1):
-            if mu_cols[i] == nu_cols[i]:
-                continue
-            swap = _swap(nu, i, nu_cols[i], mu_cols[i])
-            if swap in gen_set and order.less(swap, nu):
-                found = True
-                break
-        if not found:
-            return False
-    return True
-
-
-def _lcm_is_valid(lcm: Monomial, n: int, gens: set[Monomial]) -> bool:
-    try:
-        blocks = decode_blocks(lcm, n)
-        decode_element(lcm, n)
-    except ValueError:
-        return False
-    return all(
-        Monomial({(i + 1, sel[i]): 1 for i in range(n)}) in gens
-        for sel in product(*blocks)
-    )

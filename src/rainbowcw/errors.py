@@ -30,14 +30,6 @@ class GradingViolation(RainbowError):
     """Differential entry incompatible with the multigrading."""
 
 
-class NotMinimal(RainbowError):
-    """Complex has a unit differential entry; linear strand undefined."""
-
-
-class EmptyTable(RainbowError):
-    """Betti table has no entries."""
-
-
 class NotHomogeneous(RainbowError):
     """Inhomogeneous generator passed to a graded computation."""
 

@@ -21,10 +21,6 @@ class MonomialIdeal:
     def __init__(self, gens: Iterable[Monomial] = ()):
         self.gens: tuple[Monomial, ...] = _minimalize(gens)
 
-    @staticmethod
-    def zero() -> "MonomialIdeal":
-        return MonomialIdeal(())
-
     def is_zero(self) -> bool:
         return not self.gens
 

@@ -84,14 +84,6 @@ class Monomial:
     def variable(v: Variable) -> "Monomial":
         return Monomial({v: 1})
 
-    @staticmethod
-    def grid(*pairs: tuple[int, int]) -> "Monomial":
-        """Squarefree-ish grid constructor: grid((1,1),(2,2)) -> x11*x22."""
-        m: dict[Variable, int] = {}
-        for p in pairs:
-            m[p] = m.get(p, 0) + 1
-        return Monomial(m)
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -100,12 +92,6 @@ class Monomial:
 
     def __bool__(self) -> bool:
         return True
-
-    def exponent(self, v: Variable) -> int:
-        for w, e in self.exps:
-            if w == v:
-                return e
-        return 0
 
     @property
     def degree(self) -> int:
@@ -180,9 +166,34 @@ class Monomial:
 _ONE = Monomial()
 
 
+# The longest int that ``members`` walks by lowest set bits; a longer one
+# (a 2^s-bit set of subsets) is scanned as a binary string, since each step
+# x & -x costs time in proportion to the length of x.
+WALK_BITS = 1024
+
+
+def members(bits: int) -> list[int]:
+    """The positions of the set bits, lowest first."""
+    found = []
+    if bits.bit_length() <= WALK_BITS:
+        while bits:
+            low = bits & -bits
+            found.append(low.bit_length() - 1)
+            bits ^= low
+        return found
+    digits = bin(bits)[:1:-1]
+    at = digits.find("1")
+    while at >= 0:
+        found.append(at)
+        at = digits.find("1", at + 1)
+    return found
+
+
 def from_mask(mask: int) -> Monomial:
     """The squarefree grid monomial with support mask ``mask`` >= 0, built
-    from its bits without sorting and without ``Monomial.__init__``."""
+    from its bits without sorting and without ``Monomial.__init__``.  It
+    keeps its own walk over the bits: on ``members`` the sparse EN build
+    made strand-polarize about 4 % slower."""
     terms = []
     rest = mask
     while rest:
@@ -209,31 +220,30 @@ def lcm_of(monomials: Iterable[Monomial]) -> Monomial:
     return reduce(Monomial.lcm, monomials, Monomial.one())
 
 
-Steps = dict[Variable, tuple[int, ...]]
+# Per variable: its mask bit (0 if it has none), and where its run of
+# further step bits starts and how long it is.
+Steps = dict[Variable, tuple[int, int, int]]
 
 
 def exponent_steps(monomials: Iterable[Monomial]) -> Steps:
     """The exponent code of a set of monomials, whose steps (v, k) run up to
     the largest exponent of v in the set.  Step (v, 1) of a grid variable
     with a mask bit is that bit; every other step takes the next bit from
-    STRIDE**2 up, in increasing (v, k) order.  For each variable of an
-    unmasked member, entry e is the code of v^e, the bits of its steps
-    (v, 1) .. (v, e); the variables of masked members need no entry."""
+    STRIDE**2 up, in increasing (v, k) order, so the further steps of each
+    variable are one run of bits.  Only the variables of unmasked members
+    get an entry, and an entry's size does not grow with the exponent."""
     top: dict[Variable, int] = {}
     for m in monomials:
         if m.mask < 0:
             for v, e in m.exps:
                 top[v] = max(e, top.get(v, 0))
     steps: Steps = {}
-    bit = 1 << STRIDE * STRIDE
+    low = STRIDE * STRIDE
     for v in sorted(top):
-        power = _VAR_BIT.get(v, 0)
-        powers = [0, power] if power else [0]
-        while len(powers) <= top[v]:
-            power |= bit
-            bit <<= 1
-            powers.append(power)
-        steps[v] = tuple(powers)
+        bit = _VAR_BIT.get(v, 0)
+        run = top[v] - 1 if bit else top[v]
+        steps[v] = (bit, low, run)
+        low += run
     return steps
 
 
@@ -241,14 +251,15 @@ def code(m: Monomial, steps: Steps) -> int:
     """The code of ``m`` under ``steps``: its mask if it has one, else the
     OR of the codes of its powers, with exponents above the steps capped and
     variables outside them left out (but for a mask bit, as step 1).  So for
-    a in the set of ``steps``, a divides m iff code(a) & ~code(m) is 0."""
+    a in the set of ``steps``, a divides m iff code(a) & ~code(m) is 0.
+    The code of v^e is the mask bit of v OR the first steps of its run."""
     c = m.mask
     if c >= 0:
         return c
     c = 0
     for v, e in m.exps:
-        powers = steps.get(v) or (0, _VAR_BIT.get(v, 0))
-        c |= powers[min(e, len(powers) - 1)]
+        bit, low, run = steps.get(v) or (_VAR_BIT.get(v, 0), 0, 0)
+        c |= bit | ((1 << min(e - 1 if bit else e, run)) - 1) << low
     return c
 
 

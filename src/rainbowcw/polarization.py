@@ -60,17 +60,6 @@ class FreeSequenceReport:
         }
 
 
-def replay_free_sequence(cx: BasedComplex, ordering) -> bool:
-    """Replay a prescribed deletion order, confirming each vertex lies in a
-    unique facet at its turn."""
-    current = cx
-    for v in ordering:
-        if v not in free_vertices(face_poset(current)):
-            return False
-        current = induced_subcomplex(current, set(current.labels(1)) - {v})
-    return True
-
-
 def find_free_sequence(cx: BasedComplex, targets) -> FreeSequenceReport:
     """Backtracking search for an ordering of ``targets`` in which each vertex
     is free after deleting its predecessors (deletion = induced subcomplex on
@@ -139,15 +128,6 @@ def betti_table_formula(n: int, m: int, r: int) -> dict[tuple[int, int], int]:
 
 
 # -- variable differences and Hilbert-function cross-checks -------------------
-
-
-def boocher_sequence(n: int, m: int) -> list[tuple[Monomial, Monomial]]:
-    """The column-wise variable differences x_{1j} - x_{ij}, i = 2..n."""
-    return [
-        (Monomial.variable((1, j)), Monomial.variable((i, j)))
-        for j in range(1, m + 1)
-        for i in range(2, n + 1)
-    ]
 
 
 def hilbert_profile(
@@ -316,35 +296,6 @@ def regular_profile_ok(profiles: list[list[int]]) -> bool:
             if value != expected:
                 return False
     return True
-
-
-@dataclass
-class VariableDifferencesReport:
-    criterion: bool
-    hilbert: bool
-    max_degree: int
-
-    @property
-    def agree(self) -> bool:
-        return self.criterion == self.hilbert
-
-
-def variable_differences_regular(
-    delta: PureComplex, order: TermOrder, max_degree: int | None = None
-) -> VariableDifferencesReport:
-    """Two routes to regularity of the column variable differences on the
-    rainbow DFI quotient: the colon-grade criterion, and the Hilbert-function
-    drop verified degree by degree."""
-    criterion = linearity_criterion(delta, order)
-    n, m = order.n, order.m
-    rain = rainbow_dfi(delta, order)
-    if max_degree is None:
-        max_degree = n + 3
-    variables = [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)]
-    profiles = hilbert_profile(
-        list(rain.gens), boocher_sequence(n, m), max_degree, variables
-    )
-    return VariableDifferencesReport(criterion, regular_profile_ok(profiles), max_degree)
 
 
 # -- specialization and polarization certificates ------------------------------

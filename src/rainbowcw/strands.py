@@ -13,7 +13,6 @@ induced subcomplex on the remaining vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .complexes import BasedComplex
 from .determinantal import PureComplex, initial_minor
@@ -126,9 +125,6 @@ class QMorphism:
     context: VertexContext
     images: dict[str, tuple[int, tuple[str, ...]]]  # face -> (c(P), neighbor subset)
 
-    def image(self, face: str) -> tuple[int, tuple[str, ...]] | None:
-        return self.images.get(face)
-
 
 def q_morphism(cx: BasedComplex, v: str, order: TermOrder | None = None) -> QMorphism:
     """Build the comparison morphism and verify the commuting square in every
@@ -190,22 +186,6 @@ def strand_via_kernel(cx: BasedComplex, v: str, order: TermOrder | None = None) 
         if len(set(subsets)) != len(subsets):
             raise RainbowError(f"kernel of the comparison map is not coordinate in degree {i}")
     return cx.restrict(l for l in cx.all_labels() if l not in q.images)
-
-
-def is_linearly_connected(cx: BasedComplex, v: str, order: TermOrder | None = None) -> bool:
-    """Every pair of neighbors of v whose monomials have a linear syzygy must
-    span an edge of the complex."""
-    try:
-        ctx = neighbors(cx, v, order)
-    except NotLinear:
-        return False
-    edge_supports = {frozenset(cx.support(e)) for e in cx.labels(2)}
-    for w1, w2 in combinations(ctx.neighbors, 2):
-        m1, m2 = cx.mdeg(w1), cx.mdeg(w2)
-        if m1.degree == m2.degree and m1.lcm(m2).degree == m1.degree + 1:
-            if frozenset({w1, w2}) not in edge_supports:
-                return False
-    return True
 
 
 def rainbow_linear_strand(

@@ -54,9 +54,6 @@ class TermOrder:
         ka, kb = self._lex_key(a), self._lex_key(b)
         return GT if ka > kb else LT
 
-    def less(self, a: Monomial, b: Monomial) -> bool:
-        return self.compare(a, b) == LT
-
     def max(self, monomials) -> Monomial:
         best = None
         for m in monomials:

@@ -1,6 +1,17 @@
+from itertools import combinations
+
 import pytest
 
-from rainbowcw import PureComplex, alexander_dual_complex, diagonal_order, weight_order
+from rainbowcw import (
+    Monomial,
+    PureComplex,
+    alexander_dual_complex,
+    diagonal_order,
+    face_poset,
+    free_vertices,
+    induced_subcomplex,
+    weight_order,
+)
 
 
 @pytest.fixture(scope="session")
@@ -50,3 +61,38 @@ RIGHT_VERTEX_LABELS = {
     "x[1,1] * x[2,4]",
     "x[1,1] * x[2,2]",
 }
+
+
+def random_overlap_dual(n, m, rng, max_facets=None):
+    """Random set of facets with pairwise overlap < n-1, by greedy sampling;
+    used as a dual complex in the linearity experiments."""
+    pool = list(combinations(range(1, m + 1), n))
+    rng.shuffle(pool)
+    target = rng.randint(0, max_facets) if max_facets is not None else len(pool)
+    chosen = []
+    for f in pool:
+        if len(chosen) >= target:
+            break
+        if all(len(set(f) & set(g)) < n - 1 for g in chosen):
+            chosen.append(f)
+    return PureComplex(n, m, chosen)
+
+
+def replay_free_sequence(cx, ordering):
+    """Replay a prescribed deletion order, confirming each vertex lies in a
+    unique facet at its turn."""
+    current = cx
+    for v in ordering:
+        if v not in free_vertices(face_poset(current)):
+            return False
+        current = induced_subcomplex(current, set(current.labels(1)) - {v})
+    return True
+
+
+def boocher_sequence(n, m):
+    """The column-wise variable differences x_{1j} - x_{ij}, i = 2..n."""
+    return [
+        (Monomial.variable((1, j)), Monomial.variable((i, j)))
+        for j in range(1, m + 1)
+        for i in range(2, n + 1)
+    ]

@@ -42,9 +42,13 @@ from rainbowcw import (
     verify_differential_formula,
     verify_multidegree_bijection,
 )
-from rainbowcw.determinantal import random_overlap_dual
 from rainbowcw.monomials import format_monomial
-from tests.conftest import LEFT_VERTEX_LABELS, RIGHT_VERTEX_LABELS
+from tests.conftest import (
+    LEFT_VERTEX_LABELS,
+    RIGHT_VERTEX_LABELS,
+    random_overlap_dual,
+    replay_free_sequence,
+)
 
 SOUNDNESS_SIZES = [(2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (3, 6)]
 ORDERS_PER_SIZE = 25
@@ -222,8 +226,6 @@ def equivalence_corpus():
 
 def test_criterion_6_linearity_equivalence(equivalence_corpus):
     from itertools import permutations
-
-    from rainbowcw.polarization import replay_free_sequence
 
     t0 = time.monotonic()
     linear_count = 0

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import rainbowcw
+from rainbowcw import cli
 from rainbowcw.cli import main
 
 
@@ -325,6 +326,19 @@ def test_max_degree_below_one_rejected(tmp_path, capsys, bound):
     argv = ["polarize", "--dual-file", _worked_dual(tmp_path), "--max-degree", bound]
     assert run(argv) == 2
     _assert_one_error_line(capsys, "RainbowError")
+
+
+# A 10x21 dual once took 1.2 s and about 150 MB to list every 10-subset of
+# [21] before the caps refused it; 15x30 would list C(30, 15) = 155M.
+@pytest.mark.parametrize("command", ["strand", "polarize"])
+def test_a_dual_past_the_caps_is_refused_before_it_is_dualized(
+    tmp_path, capsys, monkeypatch, command
+):
+    path = tmp_path / "dual.json"
+    path.write_text(json.dumps({"n": 15, "m": 30, "facets": [list(range(1, 16))]}))
+    monkeypatch.setattr(cli, "alexander_dual_complex", lambda _: pytest.fail("dualized"))
+    assert run([command, "--dual-file", str(path)]) == 2
+    _assert_one_error_line(capsys, "SizeCap")
 
 
 @pytest.mark.parametrize("command", ["strand", "polarize"])

@@ -299,8 +299,8 @@ def test_relations_atoms_and_interval_homology_match(name, complexes):
     assert P.bottom == R.bottom and len(P) == len(R.ranks)
     for x in R.ranks:
         assert P.rank(x) == R.ranks[x]
-        assert P.atoms(P.bottom, x) == R.atoms(R.bottom, x)
-        assert [y for y in R.ranks if P.le(x, y)] == [y for y in R.ranks if R.le(x, y)]
+        assert P.labels_of(P.upper[0] & P.down[P.index[x]]) == R.atoms(R.bottom, x)
+        assert [y for y in R.ranks if P.interval(x, y)] == [y for y in R.ranks if R.le(x, y)]
     for x in R.ranks:
         if x != R.bottom:
             assert open_interval_homology(P, P.bottom, x) == ref_open_interval_homology(
@@ -373,7 +373,7 @@ def test_every_atom_order_of_an_interval_matches():
     cx = sparse_eagon_northcott(diagonal_order(2, 4))
     P, R = _both(cx)
     for x in cx.labels(3):
-        atoms = P.atoms(P.bottom, x)
+        atoms = P.labels_of(P.upper[0] & P.down[P.index[x]])
         for perm in permutations(atoms):
             got = recursive_atom_ordering_check(P, x, atom_order=list(perm))
             assert got == ref_recursive_atom_ordering_check(R, x, atom_order=list(perm))

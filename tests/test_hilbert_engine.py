@@ -21,15 +21,10 @@ from rainbowcw import (
     rainbow_dfi,
     random_term_order,
 )
-from rainbowcw.determinantal import random_overlap_dual
 from rainbowcw.errors import NotHomogeneous
 from rainbowcw.monomials import Monomial, parse_monomial
-from rainbowcw.polarization import (
-    boocher_sequence,
-    linearity_criterion,
-    regular_profile_ok,
-    row_differences,
-)
+from rainbowcw.polarization import linearity_criterion, regular_profile_ok, row_differences
+from tests.conftest import boocher_sequence, random_overlap_dual
 
 
 def exponent_vectors(n_vars, degree):
@@ -145,8 +140,8 @@ def test_polarization_profiles_match_reference(n, m):
 
 @pytest.mark.parametrize("n,m", [(2, 4), (2, 5), (3, 4), (3, 5)])
 def test_boocher_profiles_match_reference(n, m):
-    """The column differences of variable_differences_regular on the rainbow
-    DFI itself, over every variable of the grid."""
+    """The column differences of the Boocher sequence on the rainbow DFI
+    itself, over every variable of the grid."""
     variables = [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)]
     cases = seeded_cases(n, m, seed=7 * n + m)
     assert len(cases) == 4

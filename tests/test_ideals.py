@@ -46,7 +46,7 @@ def test_colon_containment():
 def test_codimension():
     assert codimension(plain("x[3] * x[4]")) == 1
     assert codimension(MonomialIdeal([Monomial.variable((3, 4)), Monomial.variable((3, 5))])) == 2
-    assert codimension(MonomialIdeal.zero()) == 0
+    assert codimension(MonomialIdeal()) == 0
     everything = MonomialIdeal(Monomial.variable((i, j)) for i in (1, 2) for j in (1, 2, 3))
     assert codimension(everything) == 6
     with pytest.raises(UnitIdeal):
@@ -135,7 +135,7 @@ def test_bitmask_alexander_dual_matches_the_frozenset_berge(ring):
         variables = [(i, j) for i in range(1, 4) for j in range(1, 6)]
     else:
         variables = list(range(1, 11))
-    ideals = [MonomialIdeal.zero(), MonomialIdeal([Monomial.one()])]
+    ideals = [MonomialIdeal(), MonomialIdeal([Monomial.one()])]
     ideals += [_random_hypergraph(rng, variables) for _ in range(400)]
     for ideal in ideals:
         assert alexander_dual(ideal) == ref_alexander_dual(ideal)

@@ -29,10 +29,8 @@ from rainbowcw import (
 )
 from rainbowcw.complexes import (
     MAX_SUPPORT,
-    WALK_BITS,
     _cones,
     _lacking,
-    _members,
     _standard_subsets,
     koszul_betti,
     koszul_strand_homology,
@@ -40,7 +38,7 @@ from rainbowcw.complexes import (
 )
 from rainbowcw.errors import SizeCap, UnitIdeal
 from rainbowcw.gfp import cell_homology, matrix_rank
-from rainbowcw.monomials import Monomial
+from rainbowcw.monomials import WALK_BITS, Monomial, members
 
 PRIMES = (2, 32003)
 
@@ -129,7 +127,7 @@ def test_every_pivot_gives_the_reference_homology(gens, alpha, p):
     assert koszul_strand_homology(ideal, alpha, p) == expected
     s = len(alpha.support)
     for cone in _cones(_standard_subsets(ideal, alpha), s):
-        assert cell_homology(_members(cone), s, p) == expected
+        assert cell_homology(members(cone), s, p) == expected
 
 
 def numpy_standard_subsets(ideal, alpha):
@@ -199,11 +197,11 @@ def test_bitset_kernel_matches_the_numpy_kernel(case):
     s = len(alpha.support)
     reference = numpy_standard_subsets(ideal, alpha)
     standard = _standard_subsets(ideal, alpha)
-    assert _members(standard) == np.flatnonzero(reference).tolist()
+    assert members(standard) == np.flatnonzero(reference).tolist()
     if s == 0:
         return
     cones = _cones(standard, s)
-    assert [_members(c) for c in cones] == [numpy_cone_cells(reference, k) for k in range(s)]
+    assert [members(c) for c in cones] == [numpy_cone_cells(reference, k) for k in range(s)]
     assert min(range(s), key=lambda k: cones[k].bit_count()) == numpy_pivot(reference, s)
 
 
@@ -225,10 +223,10 @@ def _set_bits(x):
 
 
 def test_members_lists_set_bits_lowest_first():
-    assert _members(0) == []
-    assert _members(1) == [0]
-    assert _members(0b1011000) == [3, 4, 6]
-    assert _members(1 << 5000 | 1 << 17) == [17, 5000]
+    assert members(0) == []
+    assert members(1) == [0]
+    assert members(0b1011000) == [3, 4, 6]
+    assert members(1 << 5000 | 1 << 17) == [17, 5000]
     rng = random.Random(15)
     cases = [0] + [1 << k for k in (0, 1, 63, 64, 299, 5000)]
     # one bit below, at and above the switch from bit steps to the string scan
@@ -238,7 +236,7 @@ def test_members_lists_set_bits_lowest_first():
         cases.append(sum(1 << rng.randrange(300) for _ in range(rng.randint(1, 12))))
     cases += [(1 << (1 << 16)) - 1, rng.getrandbits(1 << 16), rng.getrandbits(1 << 20)]
     for x in cases:
-        assert _members(x) == _set_bits(x)
+        assert members(x) == _set_bits(x)
 
 
 def test_oracle_refuses_the_unit_ideal_and_a_support_past_the_cap():

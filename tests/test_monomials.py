@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 from itertools import combinations
 from operator import or_
@@ -5,7 +6,9 @@ from operator import or_
 import pytest
 from hypothesis import given, strategies as st
 
-from rainbowcw import Monomial, diagonal_order, format_monomial, parse_monomial
+from rainbowcw import (
+    Monomial, MonomialIdeal, diagonal_order, format_monomial, koszul_betti, parse_monomial,
+)
 from rainbowcw.errors import ParseError
 from rainbowcw.complexes import lcm_closure
 from rainbowcw.monomials import STRIDE, code, exponent_steps, lcm_of
@@ -23,7 +26,7 @@ def grid_monomials(n=2, m=3, max_exp=3):
 
 def test_roundtrip_text():
     m = parse_monomial("x[1,2]^2 * x[2,3]")
-    assert m.exponent((1, 2)) == 2 and m.exponent((2, 3)) == 1
+    assert dict(m.exps)[(1, 2)] == 2 and dict(m.exps)[(2, 3)] == 1
     assert parse_monomial(format_monomial(m)) == m
     assert parse_monomial("1").is_one()
     assert parse_monomial("x[3]^2") == Monomial({3: 2})
@@ -37,11 +40,11 @@ def test_parse_rejects_garbage():
 
 
 def test_division_and_lcm():
-    a = Monomial.grid((1, 1), (2, 2))
-    b = Monomial.grid((1, 1), (2, 3))
-    assert a.lcm(b) == Monomial.grid((1, 1), (2, 2), (2, 3))
+    a = parse_monomial("x[1,1] * x[2,2]")
+    b = parse_monomial("x[1,1] * x[2,3]")
+    assert a.lcm(b) == parse_monomial("x[1,1] * x[2,2] * x[2,3]")
     assert a.lcm(a) == a
-    assert Monomial.grid((1, 2), (2, 3)).lcm(b) == Monomial.grid((1, 1), (1, 2), (2, 3))
+    assert parse_monomial("x[1,2] * x[2,3]").lcm(b) == parse_monomial("x[1,1] * x[1,2] * x[2,3]")
     assert (a * b) / a == b
     with pytest.raises(ValueError):
         a / b
@@ -51,10 +54,10 @@ def test_division_and_lcm():
 def test_compare_examples():
     o = diagonal_order(2, 3)
     # the two terms of the minor on columns {1, 2}
-    assert o.compare(Monomial.grid((1, 1), (2, 2)), Monomial.grid((1, 2), (2, 1))) == GT
-    a = Monomial.grid((1, 1), (2, 3))
+    assert o.compare(parse_monomial("x[1,1] * x[2,2]"), parse_monomial("x[1,2] * x[2,1]")) == GT
+    a = parse_monomial("x[1,1] * x[2,3]")
     assert o.compare(a, a) == EQ
-    assert o.compare(Monomial.grid((1, 1), (2, 3)), Monomial.grid((1, 2), (2, 3))) == GT
+    assert o.compare(parse_monomial("x[1,1] * x[2,3]"), parse_monomial("x[1,2] * x[2,3]")) == GT
 
 
 @given(grid_monomials(), grid_monomials())
@@ -203,12 +206,30 @@ def test_codes_cap_exponents_and_leave_out_other_variables():
     # a grid variable's first step is its mask bit; further steps lie above
     # every mask bit
     steps = exponent_steps([parse_monomial("x[1,2]^3"), parse_monomial("x[2,1]")])
-    x12, x21 = Monomial.grid((1, 2)), Monomial.grid((2, 1))
+    x12, x21 = parse_monomial("x[1,2]"), parse_monomial("x[2,1]")
     assert code(x12, steps) == x12.mask and code(x21, steps) == x21.mask
     # a variable of masked members only has one step, its mask bit
     assert code(parse_monomial("x[2,1]^2"), steps) == x21.mask
     squared = code(parse_monomial("x[1,2]^2"), steps)
     assert squared & x12.mask and (squared ^ x12.mask) >> STRIDE * STRIDE == 1
+
+
+def test_exponent_steps_take_memory_linear_in_the_exponents():
+    # One code per power of x[1] would be 40,000 ints of up to 40,000 bits
+    # each, about 100 MB; a run of step bits per variable is a few ints.
+    big, cube = parse_monomial("x[1]^40000"), parse_monomial("x[2]^3")
+    tracemalloc.start()
+    try:
+        steps = exponent_steps([big])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    assert code(big, steps).bit_count() == 40000
+    # the Koszul table of a complete intersection
+    assert koszul_betti(MonomialIdeal([big, cube])).entries == {
+        (0, Monomial.one()): 1, (1, big): 1, (1, cube): 1, (2, big * cube): 1,
+    }
 
 
 def _ref_key(order, mono):

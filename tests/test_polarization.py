@@ -24,13 +24,17 @@ from rainbowcw import (
     random_term_order,
     sparse_eagon_northcott,
     specialize,
-    variable_differences_regular,
 )
-from rainbowcw.determinantal import random_overlap_dual, random_pure_complex
+from rainbowcw.determinantal import random_pure_complex
 from rainbowcw.errors import SetupViolated
 from rainbowcw.monomials import format_monomial
-from rainbowcw.polarization import FreeSequenceReport, replay_free_sequence
+from rainbowcw.polarization import (
+    FreeSequenceReport,
+    hilbert_profile,
+    regular_profile_ok,
+)
 from rainbowcw.strands import induced_subcomplex
+from tests.conftest import boocher_sequence, random_overlap_dual, replay_free_sequence
 
 
 def test_free_vertices_worked_example(order35, dual35):
@@ -84,7 +88,8 @@ def test_find_free_sequence_failure():
 
 def test_linearity_criterion(order35, delta35):
     assert linearity_criterion(delta35, order35)
-    assert linearity_criterion(PureComplex.full(3, 5), order35)  # empty dual
+    full = alexander_dual_complex(PureComplex(3, 5, []))
+    assert linearity_criterion(full, order35)  # empty dual
     with pytest.raises(SetupViolated):
         linearity_criterion(
             alexander_dual_complex(PureComplex(3, 5, [(1, 2, 3), (1, 2, 4)])), order35
@@ -122,21 +127,32 @@ def test_betti_table_formula():
             assert table[(ell, ell + n - 1)] == comb(m - 1, m - n) - r
 
 
+def variable_differences_regular(delta, order, max_degree=None):
+    """Two routes to regularity of the column variable differences on the
+    rainbow DFI quotient, as (criterion, hilbert): the colon-grade criterion,
+    and the Hilbert-function drop verified degree by degree."""
+    criterion = linearity_criterion(delta, order)
+    n, m = order.n, order.m
+    variables = [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)]
+    profiles = hilbert_profile(
+        list(rainbow_dfi(delta, order).gens), boocher_sequence(n, m),
+        n + 3 if max_degree is None else max_degree, variables,
+    )
+    return criterion, regular_profile_ok(profiles)
+
+
 def test_variable_differences_regular(order35, delta35):
-    report = variable_differences_regular(delta35, order35, max_degree=6)
-    assert report.criterion and report.hilbert and report.agree
+    assert variable_differences_regular(delta35, order35, max_degree=6) == (True, True)
 
     o = diagonal_order(2, 3)
-    full = PureComplex.full(2, 3)
-    report = variable_differences_regular(full, o)
-    assert report.criterion and report.hilbert
+    full = alexander_dual_complex(PureComplex(2, 3, []))
+    assert variable_differences_regular(full, o) == (True, True)
 
 
 def test_variable_differences_regular_falsified():
     rng = random.Random(13)
     order, dual, delta = find_nonlinear_instance(3, 6, rng)
-    report = variable_differences_regular(delta, order, max_degree=6)
-    assert not report.criterion and not report.hilbert
+    assert variable_differences_regular(delta, order, max_degree=6) == (False, False)
 
 
 def test_specialize(order35, delta35):
@@ -171,7 +187,7 @@ def test_certify_polarization(order35, delta35):
     }
 
     o23 = diagonal_order(2, 3)
-    report = certify_polarization(PureComplex.full(2, 3), o23)
+    report = certify_polarization(alexander_dual_complex(PureComplex(2, 3, [])), o23)
     assert report.certified and report.is_power_of_maximal and report.r == 0
 
     rng = random.Random(13)

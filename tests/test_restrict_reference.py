@@ -60,7 +60,6 @@ def assert_same_complex(got, want, parent, rng):
         assert got.mdeg(label) is parent.mdeg(label)
         assert got.degree_of(label) == want.degree_of(label)
     assert got.check_complex() == want.check_complex()
-    assert got.is_minimal() == want.is_minimal()
     mdegs = [parent.mdeg(l) for l in parent.all_labels() if l != "1"]
     alphas = [lcm_of(mdegs)] + [lcm_of(rng.sample(mdegs, 3)) for _ in range(4)]
     for alpha in alphas:
