@@ -14,12 +14,13 @@ certificate is the operative criterion.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .complexes import BasedComplex
 from .errors import SizeCap
-from .gfp import DEFAULT_PRIME, cell_homology
+from .gfp import DEFAULT_PRIME, cell_homology, check_prime
 from .monomials import format_monomial, members
 
 # The most atoms a closed lower interval may have for its atom orderings to
@@ -118,7 +119,19 @@ def order_complex_reduced_homology(
     Each chain is stored as the mask of its elements, so its bits run in
     chain order, and sits in cell degree equal to its size: the empty chain
     is the (-1)-cell.
+
+    The chains are first matched by element matchings (Jonsson, Simplicial
+    Complexes of Graphs, 2008, ch. 4): for each element v in index order,
+    each unpaired chain c that holds v is paired with c - v, always a chain,
+    when c - v is unpaired too.  The pairs have incidence +-1, and a sequence
+    of element matchings is acyclic, so the homology is that of a Morse
+    complex on the chains left unpaired (Forman, Morse theory for cell
+    complexes, 1998).  When no two of those critical chains differ in size
+    by one, that complex has zero differential: the counts per size are the
+    ranks at every p, and no matrix is built.  Otherwise the boundary matrices
+    of all the chains are eliminated by ``gfp.cell_homology``.
     """
+    check_prime(p)
     chains = [0]
 
     # Chains are listed in depth-first preorder, so each chain's faces come
@@ -134,6 +147,18 @@ def order_complex_reduced_homology(
             extend(longer, up[z] & above & ~(1 << z))
 
     extend(0, elements)
+    # Within one step the candidate pairs {c - v, c} are disjoint, so the
+    # order in which the chains holding v are visited does not matter.
+    critical = set(chains)
+    for v in members(elements):
+        bit = 1 << v
+        for c in [c for c in critical if c & bit]:
+            if c ^ bit in critical:
+                critical.remove(c)
+                critical.remove(c ^ bit)
+    sizes = Counter(c.bit_count() for c in critical)
+    if not any(size + 1 in sizes for size in sizes):
+        return {size - 1: count for size, count in sorted(sizes.items())}
     top = max(c.bit_count() for c in chains)
     hom = cell_homology(chains, top, p)
     return {d - 1: h for d, h in enumerate(hom) if h}
@@ -142,9 +167,13 @@ def order_complex_reduced_homology(
 def open_interval_homology(
     poset: FacePoset, x: str, y: str, p: int = DEFAULT_PRIME
 ) -> dict[int, int]:
-    """Reduced homology of the order complex of the open interval (x, y)."""
+    """Reduced homology of the order complex of the open interval (x, y).
+    Raises ValueError unless x < y."""
     ends = 1 << poset.index[x] | 1 << poset.index[y]
-    return order_complex_reduced_homology(poset.interval(x, y) & ~ends, poset.up, p)
+    interval = poset.interval(x, y)
+    if x == y or not interval:
+        raise ValueError(f"open interval needs {x} < {y}")
+    return order_complex_reduced_homology(interval & ~ends, poset.up, p)
 
 
 def _is_sphere(hom: dict[int, int], dim: int) -> bool:

@@ -13,8 +13,8 @@ each side file by name), each at p = 2 and p = 32003, for
   (``data/ideal_plain.json``) and strand --betti-csv on the 4x7 dual
   ``[[1,2,3,4]]`` (``data/dual47.json``);
 - cw-check at 2x7 and sparse-en --certify-cw at 3x7 under the diagonal
-  order, whose interval homology makes the largest eliminations of the
-  suite.
+  order, whose interval homology covers the largest order complexes of
+  the suite.
 
 The 2x4 and 3x5 digests of the first three commands and the dual35 runs were
 recorded from the implementation before integer-weight initial terms, the
