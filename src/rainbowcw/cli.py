@@ -223,7 +223,7 @@ def cmd_sparse_en(args) -> int:
     cx = sparse_eagon_northcott(order)
     manifest = RunManifest("sparse-en", args.n, args.m, order.to_json(), p)
     if args.export == "dot":
-        _emit(export_poset(face_poset(cx), "DOT"), args.output)
+        _emit(export_poset(face_poset(cx)), args.output)
         return 0
     payload: dict = {"complex": cx.to_json(), "ranks": list(cx.ranks())}
     if args.certify_cw:

@@ -13,7 +13,6 @@ certificate is the operative criterion.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -21,7 +20,7 @@ from typing import Callable, Sequence
 from .complexes import BasedComplex
 from .errors import SizeCap
 from .gfp import DEFAULT_PRIME, cell_homology, check_prime
-from .monomials import format_monomial, members
+from .monomials import members
 
 # The most atoms a closed lower interval may have for its atom orderings to
 # be checked; a larger interval is refused with SizeCap before any work.
@@ -76,10 +75,6 @@ class FacePoset:
 
     def rank(self, x: str) -> int:
         return self.cx.degree_of(x)
-
-    def labels_of(self, mask: int) -> list[str]:
-        """The elements of an index mask, sorted by label."""
-        return sorted(self.elements[k] for k in members(mask))
 
     def interval(self, x: str, y: str) -> int:
         """The closed interval [x, y] as an index mask (0 unless x <= y)."""
@@ -176,27 +171,20 @@ def open_interval_homology(
     return order_complex_reduced_homology(interval & ~ends, poset.up, p)
 
 
-def _is_sphere(hom: dict[int, int], dim: int) -> bool:
-    return hom == {dim: 1}
-
-
 def recursive_atom_ordering_check(
-    poset: FacePoset,
-    x: str,
-    atom_order: Sequence[str] | None = None,
-    atom_key: Callable[[str], object] | None = None,
-    scramble: Callable[[str, list[str]], list[str]] | None = None,
+    poset: FacePoset, x: str, atom_key: Callable[[str], object] | None = None
 ) -> bool:
-    """Verify that the given ordering of the atoms of [bottom, x] is a
-    recursive atom ordering.  Raises SizeCap on an interval with more than
-    MAX_ATOMS atoms or a recursion deeper than MAX_DEPTH.
+    """Verify that one ordering of the atoms of [bottom, x], and the orderings
+    it induces, form a recursive atom ordering (Björner, Posets, regular CW
+    complexes and Bruhat order, 1984).  Raises SizeCap on an interval with
+    more than MAX_ATOMS atoms or a recursion deeper than MAX_DEPTH.
 
-    Upper intervals are ordered by the induced rule: atoms lying above an
-    earlier sibling first, then the rest, both sorted by ``atom_key``
-    (default: the multidegree), ties broken by label.  The ``scramble``
-    hook, applied to each induced ordering, exists so tests can violate the
-    first-block rule; the check verifies the first-block prefix property of
-    whatever ordering is actually used.
+    The atoms of [bottom, x] are sorted by ``atom_key`` (default: the
+    multidegree), ties broken by label.  The atoms of each upper interval
+    [a_j, x] are ordered by the induced rule: those above an earlier atom
+    a_i (i < j) first, then the rest, each block sorted the same way.  So
+    the first block is always a prefix, and the check is of condition (ii)
+    at every level of the recursion.
     """
     cx, labels, index = poset.cx, poset.elements, poset.index
     upper, down, up = poset.upper, poset.down, poset.up
@@ -234,26 +222,12 @@ def recursive_atom_ordering_check(
             sub_atoms = upper[aj] & down[top]
             first = sub_atoms & above[j]
             induced = ordered(first) + ordered(sub_atoms & ~first)
-            if scramble is not None:
-                induced = [
-                    index[z] for z in scramble(labels[aj], [labels[z] for z in induced])
-                ]
-            flags = [first >> z & 1 for z in induced]
-            if flags != sorted(flags, reverse=True):
-                return False  # first-block atoms are not a prefix
             if not check(aj, top, induced, depth + 1):
                 return False
         return True
 
     bottom, top = index[poset.bottom], index[x]
-    top_atoms = upper[bottom] & down[top]
-    if atom_order is None:
-        ordering = ordered(top_atoms)
-    else:
-        if sorted(atom_order) != poset.labels_of(top_atoms):
-            raise ValueError("atom_order must enumerate the atoms of the interval")
-        ordering = [index[a] for a in atom_order]
-    return check(bottom, top, ordering, 1)
+    return check(bottom, top, ordered(upper[bottom] & down[top]), 1)
 
 
 @dataclass
@@ -322,7 +296,7 @@ def is_cw_poset(
     orderings = True
     for x in poset.elements[1:]:
         hom = open_interval_homology(poset, poset.bottom, x, p)
-        if not _is_sphere(hom, poset.rank(x) - 2):
+        if hom != {poset.rank(x) - 2: 1}:
             spheres = False
             failures.append(f"sphere homology of (bottom, {x})")
             break
@@ -337,33 +311,20 @@ def is_cw_poset(
     return CWCertificate(has_least, nontrivial, thin, spheres, orderings, failures)
 
 
-def export_poset(poset: FacePoset, fmt: str = "JSON") -> str:
-    """Serialize as DOT (covers as edges, bottom at the bottom) or JSON.
-    Nodes come in (rank, label) order and covers sorted by their ends."""
+def export_poset(poset: FacePoset) -> str:
+    """The face poset in Graphviz DOT: covers as edges from the lower element,
+    dashed where the incidence sign is -1, drawn bottom to top.  Nodes come
+    in (rank, label) order and covers sorted by their ends."""
     cx = poset.cx
     nodes = sorted(poset.elements, key=lambda x: (cx.degree_of(x), x))
     covers = sorted(
         (lo, hi, sign) for hi in poset.elements for lo, sign in cx.out_entries(hi)
     )
-    if fmt.upper() == "JSON":
-        return json.dumps(
-            {
-                "nodes": [
-                    {"id": x, "rank": cx.degree_of(x), "mdeg": format_monomial(cx.mdeg(x))}
-                    for x in nodes
-                ],
-                "covers": [{"lo": lo, "hi": hi, "sign": sign} for lo, hi, sign in covers],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    if fmt.upper() == "DOT":
-        lines = ["digraph face_poset {", "  rankdir=BT;"]
-        for x in nodes:
-            lines.append(f'  "{x}" [label="{x}\\nrank {cx.degree_of(x)}"];')
-        for lo, hi, sign in covers:
-            style = "" if sign > 0 else " [style=dashed]"
-            lines.append(f'  "{lo}" -> "{hi}"{style};')
-        lines.append("}")
-        return "\n".join(lines)
-    raise ValueError(f"unknown export format {fmt!r}")
+    lines = ["digraph face_poset {", "  rankdir=BT;"]
+    for x in nodes:
+        lines.append(f'  "{x}" [label="{x}\\nrank {cx.degree_of(x)}"];')
+    for lo, hi, sign in covers:
+        style = "" if sign > 0 else " [style=dashed]"
+        lines.append(f'  "{lo}" -> "{hi}"{style};')
+    lines.append("}")
+    return "\n".join(lines)

@@ -64,10 +64,6 @@ class SupportChain:
     vertex: str
     faces: tuple[str, ...]  # from the top face down to the vertex
 
-    @property
-    def length(self) -> int:
-        return len(self.faces) - 1
-
 
 def support_chain(
     cx: BasedComplex,

@@ -1,4 +1,3 @@
-import json
 import random
 from itertools import permutations
 
@@ -45,6 +44,18 @@ def chain_poset(length):
 def ranked(P):
     """(element, rank) pairs in basis order."""
     return [(x, P.rank(x)) for x in P.elements]
+
+
+def atoms_of(P, x):
+    """The atoms of [bottom, x], sorted by label."""
+    return sorted(P.elements[k] for k in members(P.upper[0] & P.down[P.index[x]]))
+
+
+def permutation_key(P, atoms):
+    """An atom key that orders the rank-1 elements as listed in ``atoms`` and
+    every other element by the default key, the multidegree."""
+    position = {a: k for k, a in enumerate(atoms)}
+    return lambda label: (position.get(label, -1), P.cx.mdeg(label).sort_key())
 
 
 def test_face_poset_boolean():
@@ -102,24 +113,8 @@ def test_recursive_atom_ordering():
 
     B = boolean_poset(3)
     top = next(x for x, r in ranked(B) if r == 3)
-    atoms = B.labels_of(B.upper[0] & B.down[B.index[top]])
-    for perm in permutations(atoms):
-        assert recursive_atom_ordering_check(B, top, atom_order=list(perm))
-
-
-def test_recursive_atom_ordering_scrambled_fails(order35):
-    P = face_poset(sparse_eagon_northcott(order35))
-    key = lambda l: order35.sort_key(P.cx.mdeg(l))
-    tops = [x for x, r in ranked(P) if r == 3]
-    # violating the first-block rule somewhere in the recursion must be caught
-    def scramble(bottom, ordering):
-        return list(reversed(ordering)) if len(ordering) > 1 else ordering
-
-    flagged = any(
-        not recursive_atom_ordering_check(P, x, atom_key=key, scramble=scramble)
-        for x in tops
-    )
-    assert flagged
+    for perm in permutations(atoms_of(B, top)):
+        assert recursive_atom_ordering_check(B, top, atom_key=permutation_key(B, perm))
 
 
 def test_atom_ordering_size_cap(monkeypatch):
@@ -224,16 +219,26 @@ def test_certificates_stable_across_primes():
         assert is_cw_poset(P, p=2, atom_key=key).verdict
 
 
+def _dot_counts(dot):
+    """(node lines, edge lines, dashed edges, all lines) of a DOT export."""
+    lines = dot.split("\n")
+    nodes = [l for l in lines if "[label=" in l]
+    edges = [l for l in lines if " -> " in l]
+    return len(nodes), len(edges), sum("dashed" in l for l in edges), len(lines)
+
+
 def test_export_poset():
     B2 = boolean_poset(2)
-    dot = export_poset(B2, "DOT")
-    assert dot.count('" -> "') == 4 and "digraph" in dot
+    dot = export_poset(B2)
+    assert dot.startswith("digraph face_poset {\n  rankdir=BT;\n") and dot.endswith("\n}")
+    assert _dot_counts(dot)[:2] == (4, 4)
 
+    # one node per element, 1 + 6 + 8 + 3, and one edge per differential entry
     P = face_poset(sparse_eagon_northcott(diagonal_order(2, 4)))
-    data = json.loads(export_poset(P, "JSON"))
-    assert len(data["nodes"]) == 18  # 1 + 6 + 8 + 3
-    assert all({"lo", "hi", "sign"} <= set(c) for c in data["covers"])
+    nodes, edges, dashed, lines = _dot_counts(export_poset(P))
+    entries = [s for hi in P.elements for _, s in P.cx.out_entries(hi)]
+    assert (nodes, edges, lines) == (18, 32, 53)
+    assert edges == len(entries) and dashed == entries.count(-1) > 0
 
     empty = face_poset(taylor_complex([]))
-    data = json.loads(export_poset(empty, "JSON"))
-    assert len(data["nodes"]) == 1
+    assert _dot_counts(export_poset(empty)) == (1, 0, 0, 4)

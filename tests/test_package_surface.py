@@ -4,6 +4,11 @@ Every public name in the ``rainbowcw`` namespace must be used by another
 part of the program (a module of ``src/rainbowcw`` other than
 ``__init__.py``, outside the name's own definition) or by the benchmark.
 A helper that only tests call belongs beside the tests that call it.
+
+The same holds for options: every optional parameter of a public function
+must be passed, by keyword or by position, by some call in the program or
+the benchmark.  An option that only tests set is a second code path that
+the program never runs.
 """
 
 import ast
@@ -27,6 +32,20 @@ ALLOWED = {
     "the linear strand of a module (tests/test_acceptance.py, criterion 5)",
     "taylor_complex": "the Taylor resolution of any monomial ideal; the "
     "console-script CI job checks the installed sweep on it",
+}
+
+
+# Optional parameters of public functions that no call in the program or the
+# benchmark passes, each with its reason.
+ALLOWED_OPTIONS = {
+    ("random_term_order", "max_weight"): "the test seam that forces weight "
+    "ties, so that the lexicographic tiebreak is exercised",
+    ("is_linear_strand_of_module", "p"): "a paper check (tests/test_acceptance.py, "
+    "criterion 5), run at a second prime by tests/test_complexes.py",
+    ("verify_multidegree_bijection", "cx"): "a paper check (tests/test_acceptance.py, "
+    "criterion 3) that reuses a complex the caller has built",
+    ("complementary_ideal", "squarefree"): "complementary_ideal itself is kept "
+    "only because the benchmark wraps it (ROADMAP item 2)",
 }
 
 
@@ -74,3 +93,61 @@ def test_every_public_name_is_used_by_the_program():
 def test_the_allowlist_holds_only_unused_exports():
     assert set(ALLOWED) <= set(_public_names())
     assert _unused(ALLOWED) == list(ALLOWED)
+
+
+def _options():
+    """(function, parameter, position) for each optional parameter of each
+    public function; the position is None for a keyword-only parameter."""
+    out = []
+    for name in _public_names():
+        value = getattr(rainbowcw, name)
+        if not inspect.isfunction(value):
+            continue
+        for k, param in enumerate(inspect.signature(value).parameters.values()):
+            if param.default is not param.empty:
+                position = k if param.kind is param.POSITIONAL_OR_KEYWORD else None
+                out.append((name, param.name, position))
+    return out
+
+
+def _calls_outside_tests():
+    """The calls in the program's modules and the benchmark, by the name they
+    call, not counting calls inside a top-level definition of that name."""
+    calls = {}
+    paths = [*(ROOT / "src" / "rainbowcw").glob("*.py"), *(ROOT / "benchmark").glob("*.py")]
+    for path in paths:
+        for statement in ast.parse(path.read_text()).body:
+            for node in ast.walk(statement):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name and name != getattr(statement, "name", None):
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call, param, position):
+    """Whether a call may pass the parameter: by keyword, by position, or
+    through a ``*args`` or ``**kwargs``."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+    return position is not None and (len(call.args) > position or starred)
+
+
+def _unset_options():
+    calls = _calls_outside_tests()
+    return [
+        (name, param) for name, param, position in _options()
+        if not any(_passes(call, param, position) for call in calls.get(name, []))
+    ]
+
+
+def test_every_option_is_passed_by_the_program():
+    unset = [option for option in _unset_options() if option not in ALLOWED_OPTIONS]
+    assert unset == [], f"options that only tests pass: {unset}"
+
+
+def test_the_option_allowlist_holds_only_unset_options():
+    assert set(ALLOWED_OPTIONS) <= set(_unset_options())

@@ -95,7 +95,7 @@ def test_support_chain_unique_2x4():
             if v not in cx.vertex_support(cell):
                 continue
             chain = support_chain(cx, cell, v, o)
-            assert chain.length == 2 and chain.faces[-1] == v
+            assert len(chain.faces) - 1 == 2 and chain.faces[-1] == v
             met = [w for w in ctx.neighbors if w in cx.vertex_support(cell)]
             # exactly one descending chain satisfies the suffix condition
             good = 0
