@@ -9,23 +9,30 @@ elements), sphere homology of every open lower interval, and a verified
 recursive atom ordering of every closed lower interval.  Homeomorphism
 itself is undecidable; sphere homology together with the shelling
 certificate is the operative criterion.
+
+The interval work is done once per poset rather than once per element.  The
+chains of every open lower interval are concatenations of per-element lists
+that the poset builds once (``FacePoset.chains_ending``), and one
+depth-first pass over the atom-ordering recursion checks every closed lower
+interval (``recursive_atom_ordering_check``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from .complexes import BasedComplex
 from .errors import SizeCap
 from .gfp import DEFAULT_PRIME, cell_homology, check_prime
 from .monomials import members
 
-# The most atoms a closed lower interval may have for its atom orderings to
-# be checked; a larger interval is refused with SizeCap before any work.
+# The most atoms an interval [b, x] may have for its atom orderings to be
+# checked; is_cw_poset refuses a larger [bottom, x] with SizeCap before any
+# work, and the atom-ordering pass a larger upper interval when it meets it.
 MAX_ATOMS = 12
-# The deepest recursion into upper intervals that an atom-ordering check
+# The deepest recursion into upper intervals that the atom-ordering pass
 # makes before it gives up with SizeCap.
 MAX_DEPTH = 8
 
@@ -38,7 +45,9 @@ class FacePoset:
     one degree-0 label) is element 0.  The order is kept as four lists of
     int masks over the indices: the covers below and above each element,
     and its closed down and up sets.  Ranks, multidegrees and incidence
-    signs are read from the complex itself.
+    signs are read from the complex itself.  The chains that interval
+    homology reads are built by ``chains_ending`` on the first query and
+    kept as long as the poset.
     """
 
     def __init__(self, cx: BasedComplex):
@@ -69,6 +78,7 @@ class FacePoset:
             for t in members(self.upper[k]):
                 acc |= self.up[t]
             self.up[k] = acc
+        self._chains: list[list[int]] | None = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -79,6 +89,21 @@ class FacePoset:
     def interval(self, x: str, y: str) -> int:
         """The closed interval [x, y] as an index mask (0 unless x <= y)."""
         return self.up[self.index[x]] & self.down[self.index[y]]
+
+    def chains_ending(self) -> list[list[int]]:
+        """For each element k, the chains that top out at k and avoid
+        element 0 (none for element 0), as index masks: k alone, then k
+        added to each chain of the list of each element below k, in index
+        order.  Each chain is built once, and every face comes before its
+        cofaces in a list and in any concatenation of lists in index order.
+        The lists are built on the first call and kept."""
+        if self._chains is None:
+            self._chains = [[]]
+            for k in range(1, len(self)):
+                bit = 1 << k
+                lists = [self._chains[j] for j in members(self.down[k] & ~1 & ~bit)]
+                self._chains.append([bit] + [c | bit for chains in lists for c in chains])
+        return self._chains
 
 
 def face_poset(cx: BasedComplex) -> FacePoset:
@@ -102,18 +127,13 @@ def is_thin(poset: FacePoset) -> bool:
     return True
 
 
-def order_complex_reduced_homology(
-    elements: int, up: Sequence[int], p: int = DEFAULT_PRIME
-) -> dict[int, int]:
-    """Reduced simplicial homology ranks of the order complex of a finite
-    poset, over GF(p).  The poset is the index mask ``elements`` of a larger
-    one whose order is given by the closed up sets ``up``, with indices
-    numbered along a linear extension.  The empty complex reports the
-    (-1)-sphere convention: rank 1 in degree -1.
-
-    Each chain is stored as the mask of its elements, so its bits run in
-    chain order, and sits in cell degree equal to its size: the empty chain
-    is the (-1)-cell.
+def order_complex_reduced_homology(chains: list[int], p: int = DEFAULT_PRIME) -> dict[int, int]:
+    """Reduced simplicial homology ranks of an order complex over GF(p), from
+    the list of its chains.  Each chain is the index mask of its elements in
+    a poset numbered along a linear extension, so its bits run in chain
+    order; it sits in cell degree equal to its size, and the list holds the
+    empty chain, the (-1)-cell.  The empty complex reports the (-1)-sphere
+    convention: rank 1 in degree -1.
 
     The chains are first matched by element matchings (Jonsson, Simplicial
     Complexes of Graphs, 2008, ch. 4): for each element v in index order,
@@ -124,24 +144,14 @@ def order_complex_reduced_homology(
     complexes, 1998).  When no two of those critical chains differ in size
     by one, that complex has zero differential: the counts per size are the
     ranks at every p, and no matrix is built.  Otherwise the boundary matrices
-    of all the chains are eliminated by ``gfp.cell_homology``.
+    of all the chains are eliminated by ``gfp.cell_homology``, rows and
+    columns in list order; its fill-in follows that order, and the lists of
+    ``FacePoset.chains_ending`` put every face before its cofaces.
     """
     check_prime(p)
-    chains = [0]
-
-    # Chains are listed in depth-first preorder, so each chain's faces come
-    # before it and near it.  The elimination reduces each boundary column
-    # against pivots keyed by its largest row, and its fill-in follows the
-    # order of rows and columns: listed in stack order instead, the same
-    # chains made the CW certificate of cw-check at 2x7 take 1.25-1.59 s
-    # instead of 0.76-0.85 s.
-    def extend(chain: int, above: int) -> None:
-        for z in members(above):
-            longer = chain | 1 << z
-            chains.append(longer)
-            extend(longer, up[z] & above & ~(1 << z))
-
-    extend(0, elements)
+    elements = 0
+    for c in chains:
+        elements |= c
     # Within one step the candidate pairs {c - v, c} are disjoint, so the
     # order in which the chains holding v are visited does not matter.
     critical = set(chains)
@@ -163,71 +173,117 @@ def open_interval_homology(
     poset: FacePoset, x: str, y: str, p: int = DEFAULT_PRIME
 ) -> dict[int, int]:
     """Reduced homology of the order complex of the open interval (x, y).
-    Raises ValueError unless x < y."""
-    ends = 1 << poset.index[x] | 1 << poset.index[y]
+    Raises ValueError unless x < y.
+
+    The chains are the shared lists of ``FacePoset.chains_ending`` for the
+    elements strictly between, concatenated.  The list of an element j holds
+    chains through any element below j but element 0, so unless the
+    interval holds every such element below y, which it does when x is the
+    bottom of a poset with a least element, the concatenation is filtered to
+    the chains inside the interval."""
+    k = poset.index[y]
+    ends = 1 << poset.index[x] | 1 << k
     interval = poset.interval(x, y)
     if x == y or not interval:
         raise ValueError(f"open interval needs {x} < {y}")
-    return order_complex_reduced_homology(interval & ~ends, poset.up, p)
+    inside = interval & ~ends
+    lists = poset.chains_ending()
+    chains = [0]
+    for j in members(inside):
+        chains += lists[j]
+    if inside != poset.down[k] & ~(1 << k) & ~1:
+        chains = [c for c in chains if not c & ~inside]
+    return order_complex_reduced_homology(chains, p)
 
 
 def recursive_atom_ordering_check(
-    poset: FacePoset, x: str, atom_key: Callable[[str], object] | None = None
-) -> bool:
-    """Verify that one ordering of the atoms of [bottom, x], and the orderings
-    it induces, form a recursive atom ordering (Björner, Posets, regular CW
-    complexes and Bruhat order, 1984).  Raises SizeCap on an interval with
-    more than MAX_ATOMS atoms or a recursion deeper than MAX_DEPTH.
+    poset: FacePoset, atom_key: Callable[[str], object] | None = None
+) -> list[str]:
+    """The elements x, in element order, for which one ordering of the atoms
+    of [bottom, x], and the orderings it induces, fail to form a recursive
+    atom ordering (Björner, Posets, regular CW complexes and Bruhat order,
+    1984).  Every closed lower interval is checked in one depth-first pass.
 
     The atoms of [bottom, x] are sorted by ``atom_key`` (default: the
-    multidegree), ties broken by label.  The atoms of each upper interval
-    [a_j, x] are ordered by the induced rule: those above an earlier atom
-    a_i (i < j) first, then the rest, each block sorted the same way.  So
-    the first block is always a prefix, and the check is of condition (ii)
-    at every level of the recursion.
+    multidegree), ties broken by label; the key is evaluated once per
+    element.  The atoms of each upper interval [a_j, x] are ordered by the
+    induced rule: those above an earlier atom a_i (i < j) first, then the
+    rest, each block sorted the same way.  So the first block is always a
+    prefix, and the check is of condition (ii) at every level of the
+    recursion.
+
+    The induced ordering of the atoms of [a_j, x] is the restriction to the
+    elements below x of one ordering of all covers of a_j, which does not
+    depend on x: if a_i <= z <= x, then a_i <= x.  Likewise condition (ii)
+    on [b, x] is the restriction to y <= x of the same condition over every
+    y above b.  So the pass visits each recursion state, an element b with
+    the first block of its covers, once for all x, and collects the set F of
+    the elements y at which (ii) fails; [bottom, x] fails exactly when some
+    y in F lies below x.
+
+    Raises SizeCap when any state the recursion of some closed lower
+    interval would reach lies deeper than MAX_DEPTH, or stands for an
+    interval [b, x] with more than MAX_ATOMS atoms.  Every state is visited
+    whether or not an interval fails, so a poset with a failing interval
+    and an interval over a cap raises SizeCap.
     """
-    cx, labels, index = poset.cx, poset.elements, poset.index
+    cx, labels = poset.cx, poset.elements
     upper, down, up = poset.upper, poset.down, poset.up
     if atom_key is None:
         atom_key = lambda label: cx.mdeg(label).sort_key()
+    rank = [cx.degree_of(x) for x in labels]
+    # Atoms of one interval share a rank, so one sort of every element by
+    # (rank, key, label) orders each of them; keys of different ranks are
+    # never compared.
+    keys = [(r, atom_key(x), x) for r, x in zip(rank, labels)]
+    position = [0] * len(labels)
+    for place, k in enumerate(sorted(range(len(labels)), key=keys.__getitem__)):
+        position[k] = place
+    # height[k]: the largest rank of an element above k.  The recursion of
+    # [b, x] stops where x is at most one rank above b, so a state at b
+    # stands for the intervals [b, x] with x two or more ranks above it.
+    height = rank[:]
+    for k in reversed(range(len(labels))):
+        for u in members(upper[k]):
+            height[k] = max(height[k], height[u])
+    failed = 0
+    seen: set[tuple[int, int]] = set()
 
-    def ordered(mask: int) -> list[int]:
-        return sorted(members(mask), key=lambda k: (atom_key(labels[k]), labels[k]))
-
-    def rank(k: int) -> int:
-        return cx.degree_of(labels[k])
-
-    def check(bottom: int, top: int, ordering: list[int], depth: int) -> bool:
-        if rank(top) - rank(bottom) <= 1:
-            return True
+    def visit(b: int, first: int, depth: int) -> None:
+        nonlocal failed
         if depth > MAX_DEPTH:
             raise SizeCap(f"recursive atom ordering deeper than {MAX_DEPTH}")
-        if len(ordering) > MAX_ATOMS:
+        atoms = upper[b]
+        widest = max(
+            (atoms & down[x]).bit_count()
+            for x in members(up[b]) if rank[x] - rank[b] > 1
+        )
+        if widest > MAX_ATOMS:
             raise SizeCap(f"interval with more than {MAX_ATOMS} atoms")
-        # above[j]: the elements above one of the first j atoms.
-        above = [0]
+        ordering = sorted(members(first), key=position.__getitem__)
+        ordering += sorted(members(atoms & ~first), key=position.__getitem__)
+        # above: the elements above one of the atoms before a.
+        above = 0
         for a in ordering:
-            above.append(above[-1] | up[a])
-        # (ii) for i < j and y >= a_i, a_j there must be k < j and a cover z
-        #      of a_j with z <= y and a_k <= z.
-        for j, aj in enumerate(ordering):
-            witnesses = upper[aj] & above[j]
-            for y in members(up[aj] & above[j] & down[top]):
+            # (ii) for an earlier atom a_i and y >= a_i, a there must be a
+            #      cover z of a with z <= y above an earlier atom.  These
+            #      covers are also the first block of a's own state.
+            witnesses = upper[a] & above
+            for y in members(up[a] & above & ~failed):
                 if not down[y] & witnesses:
-                    return False
-        # (i) recurse into [a_j, top] with the induced ordering.
-        for j, aj in enumerate(ordering):
-            if rank(top) - rank(aj) <= 1:
-                continue
-            sub_atoms = upper[aj] & down[top]
-            first = sub_atoms & above[j]
-            induced = ordered(first) + ordered(sub_atoms & ~first)
-            if not check(aj, top, induced, depth + 1):
-                return False
-        return True
+                    failed |= 1 << y
+            # (i) recurse into [a, x] with the induced ordering.
+            if height[a] - rank[a] > 1 and (a, witnesses) not in seen:
+                seen.add((a, witnesses))
+                visit(a, witnesses, depth + 1)
+            above |= up[a]
 
-    bottom, top = index[poset.bottom], index[x]
-    return check(bottom, top, ordered(upper[bottom] & down[top]), 1)
+    if height[0] - rank[0] > 1:
+        visit(0, 0, 1)
+    failing = 0
+    for y in members(failed):
+        failing |= up[y]
+    return [labels[k] for k in members(failing)]
 
 
 @dataclass
@@ -272,7 +328,9 @@ def is_cw_poset(
     evaluated once per element.
 
     Raises SizeCap before any other work when a closed lower interval has
-    more than MAX_ATOMS atoms, since its atom orderings would not be checked.
+    more than MAX_ATOMS atoms, since its atom orderings would not be checked;
+    the atom-ordering pass raises it for an upper interval over a cap, even
+    when another interval fails.
     """
     upper, down = poset.upper, poset.down
     for k, x in enumerate(poset.elements):
@@ -293,22 +351,16 @@ def is_cw_poset(
         failures.append("thinness")
 
     spheres = True
-    orderings = True
     for x in poset.elements[1:]:
         hom = open_interval_homology(poset, poset.bottom, x, p)
         if hom != {poset.rank(x) - 2: 1}:
             spheres = False
             failures.append(f"sphere homology of (bottom, {x})")
             break
-    if atom_key is not None:
-        # every interval's orderings sort by the same keys: take each once
-        atom_key = {x: atom_key(x) for x in poset.elements}.__getitem__
-    for x in poset.elements[1:]:
-        if not recursive_atom_ordering_check(poset, x, atom_key=atom_key):
-            orderings = False
-            failures.append(f"recursive atom ordering of [bottom, {x}]")
-            break
-    return CWCertificate(has_least, nontrivial, thin, spheres, orderings, failures)
+    failing = recursive_atom_ordering_check(poset, atom_key=atom_key)
+    if failing:
+        failures.append(f"recursive atom ordering of [bottom, {failing[0]}]")
+    return CWCertificate(has_least, nontrivial, thin, spheres, not failing, failures)
 
 
 def export_poset(poset: FacePoset) -> str:

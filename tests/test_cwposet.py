@@ -107,34 +107,55 @@ def test_recursive_atom_ordering():
     o = diagonal_order(3, 5)
     P = face_poset(sparse_eagon_northcott(o))
     key = lambda l: o.sort_key(P.cx.mdeg(l))
-    for x, r in ranked(P):
-        if r >= 2:
-            assert recursive_atom_ordering_check(P, x, atom_key=key)
+    assert recursive_atom_ordering_check(P, atom_key=key) == []
 
     B = boolean_poset(3)
     top = next(x for x, r in ranked(B) if r == 3)
     for perm in permutations(atoms_of(B, top)):
-        assert recursive_atom_ordering_check(B, top, atom_key=permutation_key(B, perm))
+        assert recursive_atom_ordering_check(B, atom_key=permutation_key(B, perm)) == []
 
 
 def test_atom_ordering_size_cap(monkeypatch):
+    # [bottom, top] of a rank-4 Boolean lattice has 4 atoms, and every
+    # [atom, top] has 3
     B = boolean_poset(4)
-    top = next(x for x, r in ranked(B) if r == 4)
-    monkeypatch.setattr("rainbowcw.cwposet.MAX_ATOMS", 2)
-    with pytest.raises(SizeCap, match="more than 2 atoms"):
-        recursive_atom_ordering_check(B, top)
+    monkeypatch.setattr("rainbowcw.cwposet.MAX_ATOMS", 4)
+    assert recursive_atom_ordering_check(B) == []
+    monkeypatch.setattr("rainbowcw.cwposet.MAX_ATOMS", 3)
+    with pytest.raises(SizeCap, match="more than 3 atoms"):
+        recursive_atom_ordering_check(B)
 
 
 def test_atom_ordering_depth_cap(monkeypatch):
     # [bottom, top] of a rank-3 Boolean lattice is checked at depth 1 and its
     # upper intervals [atom, top], of length 2, at depth 2
     B = boolean_poset(3)
-    top = next(x for x, r in ranked(B) if r == 3)
     monkeypatch.setattr("rainbowcw.cwposet.MAX_DEPTH", 2)
-    assert recursive_atom_ordering_check(B, top)
+    assert recursive_atom_ordering_check(B) == []
     monkeypatch.setattr("rainbowcw.cwposet.MAX_DEPTH", 1)
     with pytest.raises(SizeCap, match="deeper than 1"):
-        recursive_atom_ordering_check(B, top)
+        recursive_atom_ordering_check(B)
+
+
+def test_a_failing_interval_does_not_hide_a_later_one_over_the_cap(monkeypatch):
+    # [0, t] fails condition (ii) at the top level: its atoms a1 and a2 lie
+    # below t, and the one cover b2 of a2 below t is not above a1.  The
+    # later element w has one atom, but [a, w] has 13.  The pass visits
+    # every state whether or not an interval fails, so the answer is
+    # SizeCap, from is_cw_poset too, whose up-front count sees one atom.
+    mids = [f"b{k}" for k in range(13)]
+    P = hand_made_poset(
+        [["0"], ["a1", "a2", "a"], ["c1", "c2", *mids], ["t", "w"]],
+        [("0", "a1"), ("0", "a2"), ("a1", "c1"), ("a2", "c2"), ("c1", "t"), ("c2", "t"),
+         ("0", "a"), *(("a", b) for b in mids), *((b, "w") for b in mids)],
+    )
+    assert P.index["t"] < P.index["w"]
+    with pytest.raises(SizeCap, match="more than 12 atoms"):
+        recursive_atom_ordering_check(P)
+    with pytest.raises(SizeCap, match="more than 12 atoms"):
+        is_cw_poset(P)
+    monkeypatch.setattr("rainbowcw.cwposet.MAX_ATOMS", 13)
+    assert recursive_atom_ordering_check(P) == ["t"]
 
 
 def test_is_cw_poset_refuses_too_many_atoms_up_front(monkeypatch):
@@ -202,11 +223,12 @@ def test_upper_semimodularity(order24_left):
             if P.interval(mu, nu):  # mu <= nu
                 assert upper_semimodularity_check(P, mu, nu)
 
-    # intervals from the bottom are not claimed; record the outcome only
+    # intervals from the bottom are not claimed, but at 2x3 both rank-2 tops
+    # are upper semimodular from the bottom
     P23 = face_poset(sparse_eagon_northcott(diagonal_order(2, 3)))
     tops = [x for x, r in ranked(P23) if r == 2]
-    outcomes = {upper_semimodularity_check(P23, P23.bottom, nu) for nu in tops}
-    assert outcomes <= {True, False}
+    assert sorted(tops) == ["x[1,1] * x[1,2] * x[2,3]", "x[1,1] * x[2,2] * x[2,3]"]
+    assert all(upper_semimodularity_check(P23, P23.bottom, nu) for nu in tops)
 
 
 def test_certificates_stable_across_primes():

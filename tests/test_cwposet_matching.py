@@ -50,10 +50,9 @@ def chains_of(elements: int, up) -> list[int]:
     return chains
 
 
-def eliminated(elements: int, up, p: int) -> dict[int, int]:
+def eliminated(chains: list[int], p: int) -> dict[int, int]:
     """The reduced homology by elimination of the boundary matrices of every
     chain, with the empty chain as the (-1)-cell."""
-    chains = chains_of(elements, up)
     hom = cell_homology(chains, max(c.bit_count() for c in chains), p)
     return {d - 1: h for d, h in enumerate(hom) if h}
 
@@ -68,10 +67,12 @@ def lower_intervals(P):
 def assert_gate(P) -> None:
     R = ref_face_poset(P.cx)
     for x, elements in lower_intervals(P):
+        chains = chains_of(elements, P.up)
         for p in PRIMES:
-            got = order_complex_reduced_homology(elements, P.up, p)
-            assert got == eliminated(elements, P.up, p), (x, p)
+            got = order_complex_reduced_homology(chains, p)
+            assert got == eliminated(chains, p), (x, p)
             assert got == ref_open_interval_homology(R, R.bottom, x, p), (x, p)
+            assert got == open_interval_homology(P, P.bottom, x, p), (x, p)
 
 
 # The cw-certify sizes, each under a seeded random generic order.

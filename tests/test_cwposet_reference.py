@@ -302,8 +302,8 @@ def test_atom_orderings_match_with_the_order_key_and_with_all_ties(name, complex
     order = ORDERS[name]
     P, R = _both(cx)
     for key in (lambda label: order.sort_key(cx.mdeg(label)), lambda label: 0):
+        assert recursive_atom_ordering_check(P, atom_key=key) == []
         for x in R.ranks:
-            assert recursive_atom_ordering_check(P, x, atom_key=key)
             assert ref_recursive_atom_ordering_check(R, x, atom_key=key)
 
 
@@ -319,8 +319,9 @@ def test_random_atom_keys_match_and_some_fail(name, complexes):
     for _ in range(30):
         values = {x: rng.random() for x in R.ranks}
         key = values.__getitem__
+        failing = recursive_atom_ordering_check(P, atom_key=key)
         for x in R.ranks:
-            got = recursive_atom_ordering_check(P, x, atom_key=key)
+            got = x not in failing
             assert got == ref_recursive_atom_ordering_check(R, x, atom_key=key), x
             if R.ranks[x] >= 3:
                 verdicts.append(got)
@@ -360,20 +361,25 @@ def test_failing_posets_give_the_same_verdicts_and_failures(p, complexes):
                     )
 
 
+# [0, t] has the one atom a, so condition (ii) holds at the top level; above
+# a, the two chains a < b1 < c1 < t and a < b2 < c2 < t meet only at t, so
+# (ii) fails in [a, t] whatever the order of b1 and b2.  Random keys on the
+# sparse Eagon-Northcott posets up to 3x6 were seen to fail only at the top
+# level, so only a poset like this one needs the recursion.
+BELOW_THE_TOP = (
+    [["0"], ["a"], ["b1", "b2"], ["c1", "c2"], ["t"]],
+    [("0", "a"), ("a", "b1"), ("a", "b2"), ("b1", "c1"), ("b2", "c2"), ("c1", "t"),
+     ("c2", "t")],
+)
+
+
 def test_a_failure_below_the_top_level_is_found():
-    # [0, t] has the one atom a, so condition (ii) holds at the top level;
-    # above a, the two chains a < b1 < c1 < t and a < b2 < c2 < t meet only
-    # at t, so (ii) fails in [a, t] whatever the order of b1 and b2.  Random
-    # keys on the sparse Eagon-Northcott posets up to 3x6 were seen to fail
-    # only at the top level, so only a poset like this one needs the recursion.
-    covers = [("0", "a"), ("a", "b1"), ("a", "b2"), ("b1", "c1"), ("b2", "c2"),
-              ("c1", "t"), ("c2", "t")]
-    P = hand_made_poset([["0"], ["a"], ["b1", "b2"], ["c1", "c2"], ["t"]], covers)
+    P = hand_made_poset(*BELOW_THE_TOP)
     R = ref_face_poset(P.cx)
     for key in (None, lambda label: 0, lambda label: label[::-1]):
-        assert recursive_atom_ordering_check(P, "t", atom_key=key) is False
+        assert recursive_atom_ordering_check(P, atom_key=key) == ["t"]
         assert ref_recursive_atom_ordering_check(R, "t", atom_key=key) is False
-    assert recursive_atom_ordering_check(P, "c1")
+        assert ref_recursive_atom_ordering_check(R, "c1", atom_key=key)
 
 
 def test_every_atom_order_of_an_interval_matches():
@@ -382,7 +388,7 @@ def test_every_atom_order_of_an_interval_matches():
     verdicts = set()
     for x in cx.labels(3):
         for perm in permutations(atoms_of(P, x)):
-            got = recursive_atom_ordering_check(P, x, atom_key=permutation_key(P, perm))
+            got = x not in recursive_atom_ordering_check(P, atom_key=permutation_key(P, perm))
             assert got == ref_recursive_atom_ordering_check(R, x, atom_order=list(perm))
             verdicts.add(got)
     assert verdicts == {True, False}
