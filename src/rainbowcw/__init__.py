@@ -33,7 +33,6 @@ from .determinantal import (
     random_term_order,
 )
 from .eagon_northcott import (
-    ENBasisElement,
     sparse_eagon_northcott,
     valid_multidegrees,
     verify_differential_formula,

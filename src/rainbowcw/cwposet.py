@@ -29,8 +29,8 @@ from .gfp import DEFAULT_PRIME, cell_homology, check_prime
 from .monomials import members
 
 # The most atoms an interval [b, x] may have for its atom orderings to be
-# checked; is_cw_poset refuses a larger [bottom, x] with SizeCap before any
-# work, and the atom-ordering pass a larger upper interval when it meets it.
+# checked.  The atom-ordering pass, which is_cw_poset runs first, is the one
+# place that counts them: it refuses a larger [b, x] with SizeCap.
 MAX_ATOMS = 12
 # The deepest recursion into upper intervals that the atom-ordering pass
 # makes before it gives up with SizeCap.
@@ -223,9 +223,10 @@ def recursive_atom_ordering_check(
 
     Raises SizeCap when any state the recursion of some closed lower
     interval would reach lies deeper than MAX_DEPTH, or stands for an
-    interval [b, x] with more than MAX_ATOMS atoms.  Every state is visited
-    whether or not an interval fails, so a poset with a failing interval
-    and an interval over a cap raises SizeCap.
+    interval [b, x] with more than MAX_ATOMS atoms, named with its count
+    (b is ``bottom`` at the root state, which is checked first).  Every
+    state is visited whether or not an interval fails, so a poset with a
+    failing interval and an interval over a cap raises SizeCap.
     """
     cx, labels = poset.cx, poset.elements
     upper, down, up = poset.upper, poset.down, poset.up
@@ -254,12 +255,11 @@ def recursive_atom_ordering_check(
         if depth > MAX_DEPTH:
             raise SizeCap(f"recursive atom ordering deeper than {MAX_DEPTH}")
         atoms = upper[b]
-        widest = max(
-            (atoms & down[x]).bit_count()
-            for x in members(up[b]) if rank[x] - rank[b] > 1
-        )
-        if widest > MAX_ATOMS:
-            raise SizeCap(f"interval with more than {MAX_ATOMS} atoms")
+        for x in members(up[b]):
+            count = (atoms & down[x]).bit_count()
+            if count > MAX_ATOMS and rank[x] - rank[b] > 1:
+                raise SizeCap(f"interval with more than {MAX_ATOMS} atoms: "
+                              f"[{labels[b] if b else 'bottom'}, {labels[x]}] has {count}")
         ordering = sorted(members(first), key=position.__getitem__)
         ordering += sorted(members(atoms & ~first), key=position.__getitem__)
         # above: the elements above one of the atoms before a.
@@ -327,18 +327,10 @@ def is_cw_poset(
     ordering of every closed lower interval.  A given ``atom_key`` is
     evaluated once per element.
 
-    Raises SizeCap before any other work when a closed lower interval has
-    more than MAX_ATOMS atoms, since its atom orderings would not be checked;
-    the atom-ordering pass raises it for an upper interval over a cap, even
-    when another interval fails.
+    The atom-ordering pass runs first, so its caps raise SizeCap before any
+    other work, even when another interval fails.
     """
-    upper, down = poset.upper, poset.down
-    for k, x in enumerate(poset.elements):
-        atoms = (upper[0] & down[k]).bit_count()
-        if atoms > MAX_ATOMS:
-            raise SizeCap(
-                f"interval with more than {MAX_ATOMS} atoms: [bottom, {x}] has {atoms}"
-            )
+    failing = recursive_atom_ordering_check(poset, atom_key=atom_key)
     failures: list[str] = []
     has_least = poset.up[0] == (1 << len(poset)) - 1
     if not has_least:
@@ -357,7 +349,6 @@ def is_cw_poset(
             spheres = False
             failures.append(f"sphere homology of (bottom, {x})")
             break
-    failing = recursive_atom_ordering_check(poset, atom_key=atom_key)
     if failing:
         failures.append(f"recursive atom ordering of [bottom, {failing[0]}]")
     return CWCertificate(has_least, nontrivial, thin, spheres, not failing, failures)

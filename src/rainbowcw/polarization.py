@@ -12,7 +12,7 @@ along a regular sequence of variable differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import accumulate
 from math import comb
 from typing import Sequence
 
@@ -144,9 +144,9 @@ def hilbert_profile(
     count its quotient:
 
     * Variable differences: k[x]/(J + (x_a - x_b)) is k[x - x_b]/J' with J'
-      the image of J under x_b -> x_a.  A union-find over the variables
-      keeps the classes of identified variables, and each monomial is
-      rewritten on the classes.
+      the image of J under x_b -> x_a.  The list ``rep`` names the class of
+      each variable (a few dozen at most, so no union-find): identifying a
+      with b renames a's class to b's, and monomials are rewritten on them.
     * For a monomial ideal I of S and a variable x, the exact sequence
       0 -> S/(I : x)(-1) -> S/I -> S/(I + x) -> 0 gives
       HS(S/I) = HS(S/(I + x)) + t HS(S/(I : x)).  The recursion pivots on
@@ -165,28 +165,23 @@ def hilbert_profile(
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     index = {v: k for k, v in enumerate(variables)}
-    parent = list(range(len(index)))
+    rep = list(range(len(index)))
     monomials: list[tuple[tuple[int, int], ...]] = []
-
-    def find(k: int) -> int:
-        while parent[k] != k:
-            parent[k] = k = parent[parent[k]]
-        return k
 
     def apply(g) -> None:
         if isinstance(g, Monomial):
             monomials.append(_indexed(g, index))
         else:
-            a, b = _variable_pair(g, index)
-            parent[find(a)] = find(b)
+            old, new = (rep[k] for k in _variable_pair(g, index))
+            rep[:] = [new if r == old else r for r in rep]
 
     def profile() -> list[int]:
-        classes = {r: c for c, r in enumerate({find(k) for k in range(len(parent))})}
+        classes = {r: c for c, r in enumerate(dict.fromkeys(rep))}
         rewritten = []
         for mono in monomials:
             exps: dict[int, int] = {}
             for k, e in mono:
-                c = classes[find(k)]
+                c = classes[rep[k]]
                 exps[c] = exps.get(c, 0) + e
             rewritten.append(exps)
         return _monomial_quotient_hf(rewritten, len(classes), max_degree)
@@ -225,65 +220,70 @@ def _monomial_quotient_hf(monomials: list[dict[int, int]], nvars: int, top: int)
     """Hilbert function in degrees 0..top of k[x_0, ..., x_{nvars-1}] modulo
     the monomials, each a dict variable -> exponent.
 
-    A monomial is packed into one int, ``width`` bits per variable with the
-    top bit of each field a guard that no exponent reaches, so a divides b
-    exactly when (b | guard) - a keeps every guard bit.  A generator is the
-    triple (degree, packed exponents, support bit mask)."""
-    width = max((e for m in monomials for e in m.values()), default=0).bit_length() + 1
-    guard = sum(1 << (width * v + width - 1) for v in range(nvars))
-    ones = (1 << width) - 1
+    A generator is one int in the staircase code (Miller and Sturmfels,
+    Combinatorial Commutative Algebra): variable v owns a run of bits as
+    wide as its largest exponent, and v^e sets the first e bits of the run.
+    So a divides b iff a & ~b is 0, the degree is the bit count, coprime
+    means a & b is 0, v occurs iff the first bit of its run is set, and
+    (I : v) clears the top set bit of each run of v.  A divisor's code is a
+    subset of its multiple's, so sorting the ints puts divisors first.  The
+    layout is the engine's own, not ``monomials.code``: its variables are
+    classes of identified variables, and a Monomial per rewritten generator
+    (to reuse ``exponent_steps`` and ``code``) measured slower."""
+    widths = [0] * nvars
+    for exps in monomials:
+        for v, e in exps.items():
+            widths[v] = max(widths[v], e)
+    starts = list(accumulate(widths, initial=0))
+    # the first bit of each variable's run -> the run
+    run = {1 << s: ((1 << w) - 1) << s for s, w in zip(starts, widths) if w}
+    firsts = sum(run)
 
-    def minimal(gens: list, budget: int) -> list:
-        kept: list = []
-        for g in sorted(g for g in gens if g[0] <= budget):
-            if not any((g[1] | guard) - h[1] & guard == guard for h in kept):
+    def minimal(gens: list[int], budget: int) -> list[int]:
+        kept: list[int] = []
+        for g in sorted(g for g in gens if g.bit_count() <= budget):
+            if not any(h & ~g == 0 for h in kept):
                 kept.append(g)
         return kept
 
-    def series(gens: list, nfree: int, budget: int) -> list[int]:
+    def series(gens: list[int], nfree: int, budget: int) -> list[int]:
         # gens: minimal, none above budget; nfree: variables not yet set to 0
-        if gens and gens[0][0] == 0:
+        if gens and gens[0] == 0:
             return [0] * (budget + 1)
         seen = 0
-        for _, _, supp in gens:
-            if seen & supp:
+        for g in gens:
+            if seen & g:
                 break
-            seen |= supp
+            seen |= g
         else:
             hf = [1] + [comb(d + nfree - 1, d) if nfree else 0 for d in range(1, budget + 1)]
-            for deg, _, _ in gens:
+            for g in gens:
+                deg = g.bit_count()
                 for d in range(budget, deg - 1, -1):
                     hf[d] -= hf[d - deg]
             return hf
         counts: dict[int, int] = {}
-        for _, _, supp in gens:
+        for g in gens:
+            supp = g & firsts
             while supp:
                 bit = supp & -supp
                 counts[bit] = counts.get(bit, 0) + 1
                 supp ^= bit
         pivot = max(counts, key=counts.get)
-        shift = width * (pivot.bit_length() - 1)
-        hf = series([g for g in gens if not g[2] & pivot], nfree - 1, budget)
+        hf = series([g for g in gens if not g & pivot], nfree - 1, budget)
         if budget:
-            quotient = []
-            for deg, packed, supp in gens:
-                if supp & pivot:
-                    deg, packed = deg - 1, packed - (1 << shift)
-                    if not packed >> shift & ones:
-                        supp ^= pivot
-                quotient.append((deg, packed, supp))
+            mask = run[pivot]
+            quotient = [
+                g ^ (1 << (g & mask).bit_length() - 1) if g & pivot else g for g in gens
+            ]
             low = series(minimal(quotient, budget - 1), nfree, budget - 1)
             for d in range(1, budget + 1):
                 hf[d] += low[d - 1]
         return hf
 
-    gens = []
-    for exps in monomials:
-        packed = supp = 0
-        for v, e in exps.items():
-            packed |= e << (width * v)
-            supp |= 1 << v
-        gens.append((sum(exps.values()), packed, supp))
+    gens = [
+        sum(((1 << e) - 1) << starts[v] for v, e in exps.items()) for exps in monomials
+    ]
     return series(minimal(gens, top), nvars, top)
 
 
@@ -313,15 +313,13 @@ def specialize(ideal: MonomialIdeal) -> MonomialIdeal:
 
 
 def _is_power_of_maximal(ideal: MonomialIdeal) -> bool:
+    """Whether the ideal is a power of the ideal of the r variables of its
+    support: its minimal generators, distinct and of one degree d, number
+    C(r + d - 1, d).  The unit ideal is the 0th power."""
     if ideal.is_zero() or not ideal.is_equigenerated():
         return False
-    rows = sorted(ideal.support)
     d = ideal.gens[0].degree
-    expected = {
-        Monomial({v: combo.count(v) for v in set(combo)})
-        for combo in combinations_with_replacement(rows, d)
-    }
-    return set(ideal.gens) == expected
+    return d == 0 or len(ideal.gens) == comb(len(ideal.support) + d - 1, d)
 
 
 @dataclass
@@ -386,7 +384,6 @@ def certify_polarization(
 
     The grid is restricted to the variables the rainbow DFI actually uses
     before dualizing; the restriction is recorded in the report."""
-    dual_complex = alexander_dual_complex(delta)
     linear = linearity_criterion(delta, order)
     rain = rainbow_dfi(delta, order)
     n = order.n
@@ -420,7 +417,7 @@ def certify_polarization(
     return PolarizationReport(
         n=order.n,
         m=order.m,
-        r=len(dual_complex),
+        r=comb(delta.m, delta.n) - len(delta),  # the facets of the dual complex
         linear=linear,
         rain_gens=tuple(format_monomial(g) for g in rain.gens),
         dual_gens=tuple(format_monomial(g) for g in dual.gens),

@@ -142,7 +142,8 @@ def test_a_failing_interval_does_not_hide_a_later_one_over_the_cap(monkeypatch):
     # below t, and the one cover b2 of a2 below t is not above a1.  The
     # later element w has one atom, but [a, w] has 13.  The pass visits
     # every state whether or not an interval fails, so the answer is
-    # SizeCap, from is_cw_poset too, whose up-front count sees one atom.
+    # SizeCap, from is_cw_poset too, which runs the pass first: its root
+    # state sees one atom below w, and the state at a sees 13.
     mids = [f"b{k}" for k in range(13)]
     P = hand_made_poset(
         [["0"], ["a1", "a2", "a"], ["c1", "c2", *mids], ["t", "w"]],
@@ -150,9 +151,9 @@ def test_a_failing_interval_does_not_hide_a_later_one_over_the_cap(monkeypatch):
          ("0", "a"), *(("a", b) for b in mids), *((b, "w") for b in mids)],
     )
     assert P.index["t"] < P.index["w"]
-    with pytest.raises(SizeCap, match="more than 12 atoms"):
+    with pytest.raises(SizeCap, match="more than 12 atoms: \\[a, w\\] has 13"):
         recursive_atom_ordering_check(P)
-    with pytest.raises(SizeCap, match="more than 12 atoms"):
+    with pytest.raises(SizeCap, match="more than 12 atoms: \\[a, w\\] has 13"):
         is_cw_poset(P)
     monkeypatch.setattr("rainbowcw.cwposet.MAX_ATOMS", 13)
     assert recursive_atom_ordering_check(P) == ["t"]

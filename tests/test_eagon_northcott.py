@@ -20,12 +20,7 @@ from rainbowcw import (
     verify_differential_formula,
     verify_multidegree_bijection,
 )
-from rainbowcw.eagon_northcott import (
-    ENBasisElement,
-    _weak_compositions,
-    decode_blocks,
-    decode_element,
-)
+from rainbowcw.eagon_northcott import _weak_compositions, decode_blocks
 from rainbowcw.errors import SizeCap
 from rainbowcw.termorders import LT, TermOrder
 from tests.conftest import LEFT_VERTEX_LABELS, RIGHT_VERTEX_LABELS
@@ -33,6 +28,27 @@ from tests.test_determinantal import ref_initial_term, seeded_order, term_orders
 
 
 # -- the classical complex and the shellability witnesses ----------------------
+
+
+@dataclass(frozen=True)
+class ENBasisElement:
+    """Divided-power exponent ``alpha`` (length n) plus a sorted column subset
+    ``cols`` of size n + |alpha|; homological degree is |alpha| + 1."""
+
+    alpha: tuple[int, ...]
+    cols: tuple[int, ...]
+
+
+def decode_element(mdeg: Monomial, n: int) -> ENBasisElement:
+    """Inverse of the multidegree assignment: blocks give alpha_i = |b_i| - 1
+    and I = the disjoint union of the blocks."""
+    blocks = decode_blocks(mdeg, n)
+    cols: list[int] = []
+    for b in blocks:
+        cols.extend(b)
+    if len(set(cols)) != len(cols):
+        raise ValueError(f"{mdeg} has overlapping row blocks")
+    return ENBasisElement(tuple(len(b) - 1 for b in blocks), tuple(sorted(cols)))
 
 
 @dataclass
@@ -216,6 +232,16 @@ def test_verify_differential_formula():
     basis = [[(l, cx.mdeg(l)) for l in cx.labels(i)] for i in cx.degrees()]
     corrupted = BasedComplex(basis, pruned)
     assert not verify_differential_formula(corrupted)
+    # Row blocks {1, 2} and {2} overlap in column 2; the entries are those of
+    # the closed form, so only the overlap makes the check fail.
+    top, a, b = (parse_monomial(s) for s in
+                 ("x[1,1] * x[1,2] * x[2,2]", "x[1,2] * x[2,2]", "x[1,1] * x[2,2]"))
+    la, lb, lt = format_monomial(a), format_monomial(b), format_monomial(top)
+    overlapping = BasedComplex(
+        [[("1", Monomial.one())], [(la, a), (lb, b)], [(lt, top)]],
+        {(la, "1"): 1, (lb, "1"): 1, (lt, la): 1, (lt, lb): -1},
+    )
+    assert not verify_differential_formula(overlapping)
 
 
 def test_verify_multidegree_bijection(order24_left):

@@ -30,6 +30,7 @@ from rainbowcw.errors import SetupViolated
 from rainbowcw.monomials import format_monomial
 from rainbowcw.polarization import (
     FreeSequenceReport,
+    _is_power_of_maximal,
     hilbert_profile,
     regular_profile_ok,
 )
@@ -194,6 +195,16 @@ def test_certify_polarization(order35, delta35):
     order, dual, delta = find_nonlinear_instance(3, 6, rng)
     report = certify_polarization(delta, order)
     assert not report.linear and not report.certified
+
+
+def test_is_power_of_maximal_counts_the_generators():
+    ideal = lambda *gens: MonomialIdeal(parse_monomial(g) for g in gens)
+    square = ["x[1]^2", "x[1] * x[2]", "x[1] * x[3]", "x[2]^2", "x[2] * x[3]", "x[3]^2"]
+    assert not _is_power_of_maximal(MonomialIdeal())
+    assert _is_power_of_maximal(ideal("1"))
+    assert _is_power_of_maximal(ideal(*square))
+    assert not _is_power_of_maximal(ideal(*square[:-1]))
+    assert not _is_power_of_maximal(ideal("x[1]^2", "x[1] * x[2]", "x[2]^3"))
 
 
 def test_free_vertex_deletion_preserves_acyclicity(order35):
