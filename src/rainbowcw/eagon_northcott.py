@@ -9,6 +9,11 @@ the order-maximum of the coefficient-times-target multidegrees below it, and
 setting the homogenizing variable to zero keeps exactly the terms attaining
 that maximum.  The result is a based multigraded complex that minimally
 resolves the quotient by the initial ideal of maximal minors.
+
+The build finds that maximum on the integer weights of the order: a
+product's weight is the sum of its factors', so the contraction terms are
+scored as ints, and only the terms of the top weight are built as
+monomials for the lexicographic tiebreak.
 """
 
 from __future__ import annotations
@@ -45,11 +50,17 @@ def sparse_eagon_northcott(order: TermOrder) -> BasedComplex:
     The elements and contraction terms are those of the classical complex
     (``eagon_northcott_complex`` in ``tests/test_eagon_northcott.py``, the
     reference this build is checked against), in the same order, kept as
-    plain ``(alpha, cols)`` keys with the support mask and label of each
-    multidegree.  A product x_ij * mdeg(target) is the union of two masks:
-    column j is not among the target's columns, so the two are coprime.  A
-    grid with more than ``STRIDE`` columns has no masks and raises
-    ``SizeCap``."""
+    plain ``(alpha, cols)`` keys with the support mask, label and order
+    weight of each multidegree.  The maximum is an argmax over ints, as in
+    ``determinantal.initial_term``: weights add, so a term scores
+    weight(target) + w_ij, the weight of its product.  Only the terms of the
+    top score get a product monomial, the union of two masks (column j is
+    not among the target's columns, so the two are coprime), and
+    ``order.max`` over those products picks the multidegree: it applies the
+    lexicographic tiebreak to distinct products and returns the common one
+    when they are equal.  The surviving entries are the top terms whose
+    product is the multidegree.  A grid with more than ``STRIDE`` columns
+    has no masks and raises ``SizeCap``."""
     n, m = order.n, order.m
     if n > m:
         raise ValueError(f"need n <= m, got {n} > {m}")
@@ -61,16 +72,17 @@ def sparse_eagon_northcott(order: TermOrder) -> BasedComplex:
         [0] + [Monomial.variable((i, j)).mask for j in range(1, m + 1)]
         for i in range(1, n + 1)
     ]
+    weights = [(0,) + row for row in order.weights]
     basis: list[list[tuple[str, Monomial]]] = [[("1", Monomial.one())]]
     diff: dict[tuple[str, str], int] = {}
 
-    below: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, str]] = {}
+    below: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, str, int]] = {}
     layer = []
     alpha = (0,) * n
     for cols in combinations(range(1, m + 1), n):
         term = initial_term(order, cols)
         label = format_monomial(term.monomial)
-        below[(alpha, cols)] = (term.monomial.mask, label)
+        below[(alpha, cols)] = (term.monomial.mask, label, order.weight(term.monomial))
         layer.append((label, term.monomial))
         # The augmentation keeps the sign of the initial term inside the
         # minor; the lead terms of the standard minor relations only cancel
@@ -82,26 +94,35 @@ def sparse_eagon_northcott(order: TermOrder) -> BasedComplex:
         current = {}
         layer = []
         for alpha in _weak_compositions(ell - 1, n):
-            # (row bits, alpha with that row lowered) for the rows in the
-            # support of alpha
+            # (row bits, row weights, alpha with that row lowered) for the
+            # rows in the support of alpha
             rows = [
-                (bits[i], alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :])
+                (bits[i], weights[i], alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :])
                 for i in range(n)
                 if alpha[i]
             ]
             for cols in combinations(range(1, m + 1), n + ell - 1):
-                terms = []
-                for row, lowered in rows:
+                # the weight of x_ij * mdeg(target) is the sum of theirs;
+                # keep the terms of the top score as (position, target
+                # label, product mask)
+                top, tied = None, []
+                for row, wrow, lowered in rows:
                     for pos, j in enumerate(cols):
-                        tmask, tlabel = below[(lowered, cols[:pos] + cols[pos + 1 :])]
-                        terms.append((-1 if pos & 1 else 1, tlabel, from_mask(tmask | row[j])))
-                mdeg = order.max(prod for _, _, prod in terms)
+                        tmask, tlabel, tweight = below[(lowered, cols[:pos] + cols[pos + 1 :])]
+                        score = tweight + wrow[j]
+                        if top is None or score > top:
+                            top, tied = score, [(pos, tlabel, tmask | row[j])]
+                        elif score == top:
+                            tied.append((pos, tlabel, tmask | row[j]))
+                # order.max sees every top term; equal masks share a product
+                products = {mask: from_mask(mask) for mask in {t[2] for t in tied}}
+                mdeg = order.max([products[mask] for _, _, mask in tied])
                 label = format_monomial(mdeg)
-                current[(alpha, cols)] = (mdeg.mask, label)
+                current[(alpha, cols)] = (mdeg.mask, label, top)
                 layer.append((label, mdeg))
-                for sign, tlabel, prod in terms:
-                    if prod.mask == mdeg.mask:
-                        diff[(label, tlabel)] = sign
+                for pos, tlabel, mask in tied:
+                    if mask == mdeg.mask:
+                        diff[(label, tlabel)] = -1 if pos & 1 else 1
         basis.append(layer)
         below = current
     return BasedComplex(basis, diff)

@@ -29,7 +29,7 @@ import re
 from functools import reduce
 from typing import Iterable, Mapping, Union
 
-from .errors import ParseError
+from .errors import ParseError, SizeCap
 
 Variable = Union[tuple[int, int], int]
 
@@ -224,6 +224,13 @@ def lcm_of(monomials: Iterable[Monomial]) -> Monomial:
 # further step bits starts and how long it is.
 Steps = dict[Variable, tuple[int, int, int]]
 
+# The most step bits an exponent code may have.  A code is an int as wide
+# as its steps, one bit per exponent step, and an lcm closure or a cell
+# index keeps one per element, so a huge exponent would exhaust memory
+# (x[1]^99999999999 asks for a 12.5 GB int) before any work is done.  At
+# this bound a code takes 128 KiB; x[1]^200000 fits well inside it.
+MAX_CODE_BITS = 1 << 20
+
 
 def exponent_steps(monomials: Iterable[Monomial]) -> Steps:
     """The exponent code of a set of monomials, whose steps (v, k) run up to
@@ -231,12 +238,20 @@ def exponent_steps(monomials: Iterable[Monomial]) -> Steps:
     with a mask bit is that bit; every other step takes the next bit from
     STRIDE**2 up, in increasing (v, k) order, so the further steps of each
     variable are one run of bits.  Only the variables of unmasked members
-    get an entry, and an entry's size does not grow with the exponent."""
+    get an entry, and an entry's size does not grow with the exponent.
+    Raises ``SizeCap``, before any step is laid out, if the largest
+    exponents of those variables add up to more than ``MAX_CODE_BITS``."""
     top: dict[Variable, int] = {}
     for m in monomials:
         if m.mask < 0:
             for v, e in m.exps:
                 top[v] = max(e, top.get(v, 0))
+    width = sum(top.values())
+    if width > MAX_CODE_BITS:
+        raise SizeCap(
+            f"the largest exponents add up to {width}; an exponent code has "
+            f"a bit per exponent step and is capped at {MAX_CODE_BITS} bits"
+        )
     steps: Steps = {}
     low = STRIDE * STRIDE
     for v in sorted(top):

@@ -99,14 +99,18 @@ def find_free_sequence(cx: BasedComplex, targets) -> FreeSequenceReport:
 # -- the linearity criterion ------------------------------------------------
 
 
-def linearity_criterion(delta: PureComplex, order: TermOrder) -> bool:
+def linearity_criterion(
+    delta: PureComplex, order: TermOrder, rain: MonomialIdeal | None = None
+) -> bool:
     """Under the overlap hypothesis on the dual complex: the rainbow DFI of
     ``delta`` has linear minimal free resolution iff every dual generator
-    colons it down to height m - n."""
+    colons it down to height m - n.  ``rain`` is that rainbow DFI, if the
+    caller has built it already."""
     dual = alexander_dual_complex(delta)
     if not overlap_condition(dual):
         raise SetupViolated("dual facets overlap in n-1 or more vertices")
-    rain = rainbow_dfi(delta, order)
+    if rain is None:
+        rain = rainbow_dfi(delta, order)
     want = order.m - order.n
     for facet in dual.sorted_facets():
         g = initial_minor(order, facet)
@@ -384,8 +388,8 @@ def certify_polarization(
 
     The grid is restricted to the variables the rainbow DFI actually uses
     before dualizing; the restriction is recorded in the report."""
-    linear = linearity_criterion(delta, order)
     rain = rainbow_dfi(delta, order)
+    linear = linearity_criterion(delta, order, rain)
     n = order.n
 
     used_columns: dict[int, list[int]] = {}

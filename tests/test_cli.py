@@ -403,6 +403,21 @@ def test_betti_refuses_the_unit_ideal_and_too_many_variables(tmp_path, capsys, c
     _assert_one_error_line(capsys, kind)
 
 
+# x[1]^99999999999 once exited 1 with a MemoryError traceback: its exponent
+# code would be a 12.5 GB int.  x[1]^200000 fits under the cap.
+def test_betti_refuses_an_exponent_past_the_code_width_cap(tmp_path, capsys):
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(json.dumps(["x[1]^99999999999"]))
+    assert run(["betti", "--ideal-file", str(ideal)]) == 2
+    assert capsys.readouterr().err == (
+        "error: SizeCap: the largest exponents add up to 99999999999; an exponent "
+        "code has a bit per exponent step and is capped at 1048576 bits\n"
+    )
+    ideal.write_text(json.dumps(["x[1]^200000", "x[2]^3"]))
+    assert run(["betti", "--ideal-file", str(ideal)]) == 0
+    assert capsys.readouterr().out.endswith("2,200003,x[1]^200000 * x[2]^3,1\n")
+
+
 # At 2x4, [1,2] once exited 1 with an AttributeError traceback and
 # {"weights": 5} with a TypeError one; a float, a bool and a string weight
 # were coerced by int() to 1, 1 and 7, exiting 0 with an order never given.

@@ -186,13 +186,16 @@ def _ref_random_term_order(n, m, rng, max_weight=10_000):
 
 @st.composite
 def term_orders(draw, max_n=4, max_m=7):
-    """Orders up to max_n x max_m; weights all zero, tie-heavy (0..1, 0..2)
-    or generic."""
+    """Orders up to max_n x max_m; weights all zero, tie-heavy (0..1, 0..2,
+    -2..2), generic (0..10^4), or as large as TermOrder.from_json accepts
+    (up to 10^12 in absolute value, all negative or of both signs), so that
+    an argmax over weights has no floor or bound to lean on."""
     n = draw(st.integers(1, max_n))
     m = draw(st.integers(n, max_m))
-    top = draw(st.sampled_from([0, 1, 2, 10_000]))
+    low, top = draw(st.sampled_from(
+        [(0, 0), (0, 1), (0, 2), (-2, 2), (0, 10_000), (-10**12, 0), (-10**12, 10**12)]))
     return TermOrder(n, m, tuple(
-        tuple(draw(st.integers(0, top)) for _ in range(m)) for _ in range(n)))
+        tuple(draw(st.integers(low, top)) for _ in range(m)) for _ in range(n)))
 
 
 def seeded_order(n, m, top):

@@ -14,7 +14,12 @@ each side file by name), each at p = 2 and p = 32003, for
   ``[[1,2,3,4]]`` (``data/dual47.json``);
 - cw-check at 2x7 and sparse-en --certify-cw at 3x7 under the diagonal
   order, whose interval homology covers the largest order complexes of
-  the suite.
+  the suite;
+- sparse-en --certify-cw and cw-check at 3x6 under a tie-heavy order with
+  weights in 0..2 (``data/order_3x6_ties.json``), where distinct products
+  of contraction terms tie at the top weight and the lexicographic
+  tiebreak picks the multidegree of 47 of the 91 basis elements in
+  degrees 2 to 4 (and 8 of the 20 initial terms).
 
 The 2x4 and 3x5 digests of the first three commands and the dual35 runs were
 recorded from the implementation before integer-weight initial terms, the
@@ -24,9 +29,11 @@ label-based face poset before it became an int-mask view of its complex,
 the 2x7 run at p = 2 and the 3x7 runs from the row elimination before the
 sparse matrices became lists of columns, and the free-seq and
 free-seq-necessity runs from the search that counted facets per target
-before it shared the one free-vertex test.  The diagonal free-seq-necessity
-digests were recorded again when its manifest began to record the diagonal
-order (it wrote the manifest of the random-order run).
+before it shared the one free-vertex test.  The 3x6 ties runs were recorded
+from the sparse EN build that made a product monomial for every
+contraction term, before it scored the terms as ints.  The diagonal
+free-seq-necessity digests were recorded again when its manifest began to
+record the diagonal order (it wrote the manifest of the random-order run).
 A change that moves any byte of these outputs fails here.  Regenerate them
 only for an intended change of output, and say so.
 """
@@ -86,6 +93,11 @@ RUNS.update(
 )
 RUNS["cw-check 2x7 diagonal"] = _sized(["cw-check"], 2, 7, False)
 RUNS["sparse-en --certify-cw 3x7 diagonal"] = _sized(["sparse-en", "--certify-cw"], 3, 7, False)
+RUNS.update(
+    (f"{' '.join(command)} 3x6 ties",
+     [*command, "-n", "3", "-m", "6", "--order-file", str(DATA / "order_3x6_ties.json")])
+    for command in (["sparse-en", "--certify-cw"], ["cw-check"])
+)
 
 GOLDEN = {
     "initial-ideal 2x4 diagonal p=2":
@@ -276,6 +288,14 @@ GOLDEN = {
         "a3d7ff0cc6d766fe4cf98e8a65ee037dbef393365cd6b64751f4fc0621edea12",
     "experiment free-seq-necessity 3x6 random orders p=32003":
         "f4fb8d8e28d1b2d7a6b87877c51f44f5e07f22d0e1ccc4a0860aaad31489e225",
+    "sparse-en --certify-cw 3x6 ties p=2":
+        "4a27e4dd72ecd293ae08707e9427ee6761222bd446b37299cb2fea648672ea97",
+    "sparse-en --certify-cw 3x6 ties p=32003":
+        "08af634adc74fe2e263811e9617d868b0a8f005a7e5e68b0f2d647673bf056fe",
+    "cw-check 3x6 ties p=2":
+        "a76609aad22031b5c44a11854fe05fb3a76fd58f4a4614544c7a297cc3342107",
+    "cw-check 3x6 ties p=32003":
+        "e7a0fbcae8c4f318050323e9fe7983f5f42b97e4ee4c267f3b62c0e98d532324",
 }
 
 

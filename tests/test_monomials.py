@@ -9,9 +9,9 @@ from hypothesis import given, strategies as st
 from rainbowcw import (
     Monomial, MonomialIdeal, diagonal_order, format_monomial, koszul_betti, parse_monomial,
 )
-from rainbowcw.errors import ParseError
-from rainbowcw.complexes import lcm_closure
-from rainbowcw.monomials import STRIDE, code, exponent_steps, lcm_of
+from rainbowcw.errors import ParseError, SizeCap
+from rainbowcw.complexes import lcm_closure, taylor_complex
+from rainbowcw.monomials import MAX_CODE_BITS, STRIDE, code, exponent_steps, lcm_of
 from rainbowcw.termorders import EQ, GT, LT, TermOrder
 
 
@@ -230,6 +230,37 @@ def test_exponent_steps_take_memory_linear_in_the_exponents():
     assert koszul_betti(MonomialIdeal([big, cube])).entries == {
         (0, Monomial.one()): 1, (1, big): 1, (1, cube): 1, (2, big * cube): 1,
     }
+
+
+# x[1]^99999999999 once ended in a MemoryError from building its code,
+# a 12.5 GB int, inside lcm_closure.
+@pytest.mark.parametrize(
+    "gens",
+    [["x[1]^99999999999"], ["x[1]^99999999999", "x[2]"],
+     [f"x[{i}]^60000" for i in range(1, 19)]],
+)
+def test_a_code_past_the_width_cap_is_refused_before_it_is_built(gens):
+    gens = [parse_monomial(g) for g in gens]
+    message = f"capped at {MAX_CODE_BITS} bits"
+    with pytest.raises(SizeCap, match=message):
+        exponent_steps(gens)
+    with pytest.raises(SizeCap, match=message):
+        lcm_closure(gens)
+    with pytest.raises(SizeCap, match=message):
+        koszul_betti(MonomialIdeal(gens))
+    if len(gens) <= 2:
+        with pytest.raises(SizeCap, match=message):
+            taylor_complex(gens).is_resolution(2)
+
+
+def test_the_width_cap_counts_the_largest_exponent_of_each_variable():
+    half = MAX_CODE_BITS // 2
+    at_cap = [parse_monomial(f"x[1]^{half}"), parse_monomial(f"x[1]^{half - 1} * x[2]^{half}")]
+    exponent_steps(at_cap)
+    with pytest.raises(SizeCap):
+        exponent_steps(at_cap + [parse_monomial("x[3]")])
+    # a masked grid monomial takes no further steps
+    exponent_steps(at_cap + [parse_monomial("x[1,1] * x[2,2]")])
 
 
 def _ref_key(order, mono):

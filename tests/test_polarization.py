@@ -25,6 +25,7 @@ from rainbowcw import (
     sparse_eagon_northcott,
     specialize,
 )
+from rainbowcw import polarization
 from rainbowcw.determinantal import random_pure_complex
 from rainbowcw.errors import SetupViolated
 from rainbowcw.monomials import format_monomial
@@ -195,6 +196,17 @@ def test_certify_polarization(order35, delta35):
     order, dual, delta = find_nonlinear_instance(3, 6, rng)
     report = certify_polarization(delta, order)
     assert not report.linear and not report.certified
+
+
+def test_certify_polarization_builds_one_rainbow_dfi(order35, delta35, monkeypatch):
+    # the criterion still runs, on the ideal the certificate has built
+    calls = []
+    for name in ("rainbow_dfi", "linearity_criterion"):
+        real = getattr(polarization, name)
+        monkeypatch.setattr(polarization, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    assert certify_polarization(delta35, order35).linear
+    assert sorted(calls) == ["linearity_criterion", "rainbow_dfi"]
 
 
 def test_is_power_of_maximal_counts_the_generators():
