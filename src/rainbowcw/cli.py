@@ -134,25 +134,26 @@ def _prime(args) -> int:
     return p
 
 
+def _read_json(path: str, kind: str):
+    """The JSON value in the file at ``path``; ParseError on bad JSON, bytes
+    that do not decode or over-long integers (ValueError) and deep nesting."""
+    with open(path) as handle:
+        try:
+            return json.load(handle)
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"bad {kind} file: {exc}") from exc
+
+
 def _load_order(args, n: int, m: int) -> TermOrder:
     if args.order_file:
-        with open(args.order_file) as handle:
-            try:
-                order = TermOrder.from_json(json.load(handle))
-            except ValueError as exc:  # a JSONDecodeError is a ValueError too
-                raise ParseError(f"bad term-order file: {exc}") from exc
+        try:
+            order = TermOrder.from_json(_read_json(args.order_file, "term-order"))
+        except ValueError as exc:
+            raise ParseError(f"bad term-order file: {exc}") from exc
         if (order.n, order.m) != (n, m):
             raise RainbowError(f"order file is {order.n}x{order.m}, expected {n}x{m}")
         return order
     return diagonal_order(n, m)
-
-
-def _load_pure_complex(path: str) -> PureComplex:
-    with open(path) as handle:
-        try:
-            return PureComplex.from_json(json.load(handle))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad complex file: {exc}") from exc
 
 
 def _parse_facet(spec: str, n: int, m: int) -> tuple[int, ...]:
@@ -171,7 +172,7 @@ def _delta_from_args(args) -> PureComplex:
     """Delta from --delta-file, or the dual of --dual-file, less the
     --delete facets.  The size caps are checked on the loaded file, before
     a dual lists every n-subset of [m]."""
-    loaded = _load_pure_complex(args.delta_file or args.dual_file)
+    loaded = PureComplex.from_json(_read_json(args.delta_file or args.dual_file, "complex"))
     _check_size(loaded.n, loaded.m, args.force)
     delta = loaded if args.delta_file else alexander_dual_complex(loaded)
     if args.delete:
@@ -256,11 +257,7 @@ def cmd_strand(args) -> int:
 
 
 def cmd_betti(args) -> int:
-    with open(args.ideal_file) as handle:
-        try:
-            entries = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad ideal file: {exc}") from exc
+    entries = _read_json(args.ideal_file, "ideal")
     if not isinstance(entries, list) or not all(isinstance(e, str) for e in entries):
         raise ParseError("bad ideal file: expected a JSON array of monomial strings")
     gens = [parse_monomial(e) for e in entries]
@@ -283,7 +280,7 @@ def cmd_betti(args) -> int:
 
 def cmd_free_seq(args) -> int:
     p = _prime(args)
-    dual = _load_pure_complex(args.dual_file)
+    dual = PureComplex.from_json(_read_json(args.dual_file, "complex"))
     _check_size(dual.n, dual.m, args.force)
     order = _load_order(args, dual.n, dual.m)
     report = _dual_free_sequence(sparse_eagon_northcott(order), order, dual)

@@ -3,7 +3,8 @@
 Construction always minimalizes: generators are deduplicated and any
 generator divisible by another is dropped, so two ideals are equal iff their
 generator tuples are equal.  The zero ideal has no generators; the unit ideal
-is generated by 1.
+is generated by 1.  An ideal whose exponent code (``monomials.exponent_steps``)
+would be wider than ``monomials.MAX_CODE_BITS`` raises ``SizeCap``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import Iterable
 
 from .errors import NotEquigenerated, NotSquarefree, UnitIdeal
-from .monomials import Monomial, check_one_ring
+from .monomials import Monomial, check_one_ring, code, exponent_steps, minimal
 
 
 class MonomialIdeal:
@@ -40,7 +41,8 @@ class MonomialIdeal:
         return iter(self.gens)
 
     def __contains__(self, m: Monomial) -> bool:
-        return any(g.divides(m) for g in self.gens)
+        steps = exponent_steps(self.gens)
+        return any(code(g, steps) & ~code(m, steps) == 0 for g in self.gens)
 
     @property
     def support(self) -> frozenset:
@@ -63,13 +65,13 @@ class MonomialIdeal:
 
 
 def _minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
+    """The generators that no other divides, by degree and then sort_key."""
     pool = set(gens)
     check_one_ring(pool)
-    out: list[Monomial] = []
-    for g in sorted(pool, key=lambda g: (g.degree, g.sort_key())):
-        if not any(h.divides(g) for h in out):
-            out.append(g)
-    return tuple(out)
+    steps = exponent_steps(pool)
+    ordered = sorted(pool, key=lambda g: (g.degree, g.sort_key()))
+    by_code = {code(g, steps): g for g in ordered}  # the code is one-to-one
+    return tuple(by_code[c] for c in minimal(by_code))
 
 
 def colon(ideal: MonomialIdeal, g: Monomial) -> MonomialIdeal:
@@ -82,15 +84,7 @@ def codimension(ideal: MonomialIdeal) -> int:
     support of every generator, found by exhaustive branch and bound."""
     if ideal.is_unit():
         raise UnitIdeal("codimension of the unit ideal is undefined")
-    supports = sorted({g.support for g in ideal.gens}, key=len)
-    # Drop supports containing another support: covering the smaller one
-    # covers the larger for free.
-    reduced: list[frozenset] = []
-    for s in supports:
-        if not any(t <= s for t in reduced):
-            reduced.append(s)
-
-    best = len(frozenset().union(*reduced)) if reduced else 0
+    best = len(ideal.support)
 
     def search(remaining: list[frozenset], used: int) -> None:
         nonlocal best
@@ -104,7 +98,7 @@ def codimension(ideal: MonomialIdeal) -> int:
             rest = [s for s in remaining if v not in s]
             search(rest, used + 1)
 
-    search(reduced, 0)
+    search(sorted({g.support for g in ideal.gens}, key=len), 0)
     return best
 
 

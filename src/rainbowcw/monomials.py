@@ -232,6 +232,16 @@ Steps = dict[Variable, tuple[int, int, int]]
 MAX_CODE_BITS = 1 << 20
 
 
+def check_code_width(width: int) -> None:
+    """Raise ``SizeCap`` if a code of ``width`` step bits, the largest
+    exponents added up, would be wider than ``MAX_CODE_BITS``."""
+    if width > MAX_CODE_BITS:
+        raise SizeCap(
+            f"the largest exponents add up to {width}; an exponent code has "
+            f"a bit per exponent step and is capped at {MAX_CODE_BITS} bits"
+        )
+
+
 def exponent_steps(monomials: Iterable[Monomial]) -> Steps:
     """The exponent code of a set of monomials, whose steps (v, k) run up to
     the largest exponent of v in the set.  Step (v, 1) of a grid variable
@@ -239,19 +249,13 @@ def exponent_steps(monomials: Iterable[Monomial]) -> Steps:
     STRIDE**2 up, in increasing (v, k) order, so the further steps of each
     variable are one run of bits.  Only the variables of unmasked members
     get an entry, and an entry's size does not grow with the exponent.
-    Raises ``SizeCap``, before any step is laid out, if the largest
-    exponents of those variables add up to more than ``MAX_CODE_BITS``."""
+    Raises ``SizeCap`` (``check_code_width``) before any step is laid out."""
     top: dict[Variable, int] = {}
     for m in monomials:
         if m.mask < 0:
             for v, e in m.exps:
                 top[v] = max(e, top.get(v, 0))
-    width = sum(top.values())
-    if width > MAX_CODE_BITS:
-        raise SizeCap(
-            f"the largest exponents add up to {width}; an exponent code has "
-            f"a bit per exponent step and is capped at {MAX_CODE_BITS} bits"
-        )
+    check_code_width(sum(top.values()))
     steps: Steps = {}
     low = STRIDE * STRIDE
     for v in sorted(top):
@@ -276,6 +280,17 @@ def code(m: Monomial, steps: Steps) -> int:
         bit, low, run = steps.get(v) or (_VAR_BIT.get(v, 0), 0, 0)
         c |= bit | ((1 << min(e - 1 if bit else e, run)) - 1) << low
     return c
+
+
+def minimal(codes: Iterable[int]) -> list[int]:
+    """The codes that no earlier kept code divides (h divides c iff h & ~c
+    is 0): the minimal ones, if each code comes after its divisors, as in
+    order of degree or of value.  A repeated code is kept once."""
+    kept: list[int] = []
+    for c in codes:
+        if not any(h & ~c == 0 for h in kept):
+            kept.append(c)
+    return kept
 
 
 def format_monomial(m: Monomial) -> str:
@@ -306,8 +321,11 @@ def parse_monomial(text: str) -> Monomial:
         if not match:
             raise ParseError(f"bad monomial factor: {tok!r}")
         i, j, e = match.group(1), match.group(2), match.group(3)
-        var: Variable = (int(i), int(j)) if j is not None else int(i)
-        exps[var] = exps.get(var, 0) + (int(e) if e else 1)
+        try:  # int() refuses more digits than sys.get_int_max_str_digits()
+            var: Variable = (int(i), int(j)) if j is not None else int(i)
+            exps[var] = exps.get(var, 0) + (int(e) if e else 1)
+        except ValueError as exc:
+            raise ParseError(f"bad monomial factor: {exc}") from None
     if len({type(v) for v in exps}) > 1:
         raise ParseError(f"monomial mixes grid and plain variables: {text!r}")
     return Monomial(exps)

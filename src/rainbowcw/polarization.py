@@ -27,7 +27,7 @@ from .determinantal import (
 )
 from .errors import NotHomogeneous, SetupViolated
 from .ideals import MonomialIdeal, alexander_dual, codimension, colon
-from .monomials import Monomial, format_monomial
+from .monomials import Monomial, check_code_width, format_monomial, minimal
 from .strands import induced_subcomplex
 from .termorders import TermOrder
 
@@ -230,25 +230,20 @@ def _monomial_quotient_hf(monomials: list[dict[int, int]], nvars: int, top: int)
     So a divides b iff a & ~b is 0, the degree is the bit count, coprime
     means a & b is 0, v occurs iff the first bit of its run is set, and
     (I : v) clears the top set bit of each run of v.  A divisor's code is a
-    subset of its multiple's, so sorting the ints puts divisors first.  The
-    layout is the engine's own, not ``monomials.code``: its variables are
-    classes of identified variables, and a Monomial per rewritten generator
-    (to reuse ``exponent_steps`` and ``code``) measured slower."""
+    subset of its multiple's, so ``minimal`` keeps the sorted ints minimal.
+    The layout is the engine's own, not ``monomials.code``: its variables are
+    classes of identified variables (whose exponents add, so the width cap
+    is checked per call), and a Monomial per rewritten generator measured
+    slower."""
     widths = [0] * nvars
     for exps in monomials:
         for v, e in exps.items():
             widths[v] = max(widths[v], e)
+    check_code_width(sum(widths))
     starts = list(accumulate(widths, initial=0))
     # the first bit of each variable's run -> the run
     run = {1 << s: ((1 << w) - 1) << s for s, w in zip(starts, widths) if w}
     firsts = sum(run)
-
-    def minimal(gens: list[int], budget: int) -> list[int]:
-        kept: list[int] = []
-        for g in sorted(g for g in gens if g.bit_count() <= budget):
-            if not any(h & ~g == 0 for h in kept):
-                kept.append(g)
-        return kept
 
     def series(gens: list[int], nfree: int, budget: int) -> list[int]:
         # gens: minimal, none above budget; nfree: variables not yet set to 0
@@ -280,7 +275,8 @@ def _monomial_quotient_hf(monomials: list[dict[int, int]], nvars: int, top: int)
             quotient = [
                 g ^ (1 << (g & mask).bit_length() - 1) if g & pivot else g for g in gens
             ]
-            low = series(minimal(quotient, budget - 1), nfree, budget - 1)
+            kept = minimal(sorted(g for g in quotient if g.bit_count() <= budget - 1))
+            low = series(kept, nfree, budget - 1)
             for d in range(1, budget + 1):
                 hf[d] += low[d - 1]
         return hf
@@ -288,7 +284,7 @@ def _monomial_quotient_hf(monomials: list[dict[int, int]], nvars: int, top: int)
     gens = [
         sum(((1 << e) - 1) << starts[v] for v, e in exps.items()) for exps in monomials
     ]
-    return series(minimal(gens, top), nvars, top)
+    return series(minimal(sorted(g for g in gens if g.bit_count() <= top)), nvars, top)
 
 
 def regular_profile_ok(profiles: list[list[int]]) -> bool:

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rainbowcw
 from rainbowcw import cli
@@ -541,3 +546,101 @@ def test_an_option_the_command_cannot_use_is_a_usage_error(tmp_path, capsys, arg
         run([files.get(a, a) for a in argv])
     assert usage.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+# Malformed bytes that json.load raises on with more than a JSONDecodeError:
+# a UnicodeDecodeError, a ValueError past int()'s digit limit, and a
+# RecursionError.  All but the two order-file ones once ended in a traceback
+# with exit 1.
+MALFORMED = {
+    "non-utf8": b"\xff\xfe{\"n\": 3}",
+    "digits": b"1" * 5000,
+    "nesting": b"[" * 200_000 + b"]" * 200_000,
+}
+FILE_OPTIONS = {
+    "--dual-file": ["free-seq", "--dual-file"],
+    "--delta-file": ["strand", "--delta-file"],
+    "--ideal-file": ["betti", "--ideal-file"],
+    "--order-file": ["initial-ideal", "-n", "2", "-m", "4", "--order-file"],
+}
+
+
+@pytest.mark.parametrize("payload", sorted(MALFORMED))
+@pytest.mark.parametrize("option", sorted(FILE_OPTIONS))
+def test_malformed_bytes_in_an_input_file_are_a_parse_error(tmp_path, capsys, option, payload):
+    path = tmp_path / "input.json"
+    path.write_bytes(MALFORMED[payload])
+    assert run(FILE_OPTIONS[option] + [str(path)]) == 2
+    _assert_one_error_line(capsys, "ParseError")
+
+
+# -- any file content exits 0 or 2 ----------------------------------------------
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.floats(allow_nan=False) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+_columns = st.lists(st.integers(-1, 6) | st.booleans(), max_size=4)
+_complexes = st.fixed_dictionaries(
+    {"n": st.integers(-1, 3) | _json_values, "m": st.integers(-1, 5)},
+    optional={"facets": st.lists(_columns, max_size=6) | _json_values},
+)
+_orders = st.fixed_dictionaries(
+    {"weights": st.lists(st.lists(st.integers(-5, 5), max_size=5), max_size=3) | _json_values},
+    optional={"n": st.integers(0, 3) | _json_values, "m": st.integers(0, 5),
+              "tiebreak": st.sampled_from(["row-major", "lex"])},
+)
+_exponents = st.sampled_from(["", "^2", "^3", "^0", "^" + "9" * 5000, "^99999999999"])
+_factors = st.builds(
+    lambda i, j, e: f"x[{i}{j}]{e}",
+    st.sampled_from(["1", "2", "3", "0", "9" * 5000]),
+    st.sampled_from(["", ",1", ",2", ",17"]),
+    _exponents,
+)
+_ideals = st.lists(
+    st.lists(_factors, min_size=1, max_size=3).map(" * ".join) | st.sampled_from(["1", "y", ""]),
+    max_size=4,
+)
+
+
+def _dump(value) -> bytes:
+    return json.dumps(value).encode()
+
+
+_contents = st.one_of(
+    st.binary(max_size=40),
+    st.integers(1, 6000).map(lambda k: b"7" * k),  # digit runs around int()'s limit
+    st.integers(1, 200_000).map(lambda k: b"[" * k + b"]" * k),
+    _json_values.map(_dump),
+    _complexes.map(_dump),
+    _orders.map(_dump),
+    _ideals.map(_dump),
+)
+_commands = st.sampled_from([
+    ["free-seq", "--dual-file", "FILE"],
+    ["strand", "--dual-file", "FILE"],
+    ["strand", "--delta-file", "FILE"],
+    ["polarize", "--dual-file", "FILE"],
+    ["betti", "--ideal-file", "FILE"],
+    ["initial-ideal", "-n", "2", "-m", "4", "--order-file", "FILE"],
+    ["free-seq", "--dual-file", "DUAL", "--order-file", "FILE"],
+])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(content=_contents, command=_commands)
+def test_any_input_file_exits_0_or_2(content, command):
+    """Random bytes, long digit runs, deep nesting and wrongly shaped JSON at
+    n <= 3 and m <= 5: never a traceback, so the exit is 0 or 2."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_bytes(content)
+        dual = _worked_dual(Path(tmp))
+        argv = [{"FILE": str(path), "DUAL": dual}.get(a, a) for a in command]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(argv)
+    assert status in (0, 2), err.getvalue()
+    if status == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

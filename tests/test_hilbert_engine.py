@@ -21,8 +21,8 @@ from rainbowcw import (
     rainbow_dfi,
     random_term_order,
 )
-from rainbowcw.errors import NotHomogeneous
-from rainbowcw.monomials import Monomial, parse_monomial
+from rainbowcw.errors import NotHomogeneous, SizeCap
+from rainbowcw.monomials import MAX_CODE_BITS, Monomial, parse_monomial
 from rainbowcw.polarization import linearity_criterion, regular_profile_ok, row_differences
 from tests.conftest import boocher_sequence, random_overlap_dual
 
@@ -221,3 +221,24 @@ def test_rejects_bad_input():
     for gens, sigma in [([outside], []), ([], [outside]), ([(x, outside)], []), ([], [(outside, y)])]:
         with pytest.raises(ValueError, match="outside the ring"):
             hilbert_profile(gens, sigma, 3, [1, 2])
+
+
+# x[1]^99999999999 once ended in a MemoryError: its run of step bits would
+# be a 12.5 GB int.  Each prefix is checked, since a monomial step of sigma
+# widens the layout only from its own prefix on.
+def test_a_layout_past_the_code_width_cap_is_refused():
+    x = Monomial.variable(1)
+    huge = Monomial({1: 99999999999})
+    message = "the largest exponents add up to 99999999999; .* capped at 1048576 bits"
+    with pytest.raises(SizeCap, match=message):
+        hilbert_profile([huge], [], 2, [1])
+    with pytest.raises(SizeCap, match=message):
+        hilbert_profile([x], [huge], 2, [1])
+    at_cap = Monomial({1: MAX_CODE_BITS})
+    assert hilbert_profile([at_cap], [], 2, [1]) == [[1, 1, 1]]
+    half = Monomial({1: MAX_CODE_BITS // 2})
+    assert hilbert_profile([half, half], [Monomial({2: MAX_CODE_BITS // 2})], 1, [1, 2]) == [
+        [1, 2], [1, 2]
+    ]
+    with pytest.raises(SizeCap):
+        hilbert_profile([at_cap, Monomial.variable(2)], [], 1, [1, 2])
