@@ -354,15 +354,14 @@ def is_cw_poset(
     return CWCertificate(has_least, nontrivial, thin, spheres, not failing, failures)
 
 
-def export_poset(poset: FacePoset) -> str:
-    """The face poset in Graphviz DOT: covers as edges from the lower element,
-    dashed where the incidence sign is -1, drawn bottom to top.  Nodes come
-    in (rank, label) order and covers sorted by their ends."""
-    cx = poset.cx
-    nodes = sorted(poset.elements, key=lambda x: (cx.degree_of(x), x))
-    covers = sorted(
-        (lo, hi, sign) for hi in poset.elements for lo, sign in cx.out_entries(hi)
-    )
+def export_poset(cx: BasedComplex) -> str:
+    """The face poset of a based complex in Graphviz DOT: covers as edges
+    from the lower element, dashed where the incidence sign is -1, drawn
+    bottom to top.  Nodes come in (rank, label) order and covers sorted by
+    their ends."""
+    labels = cx.all_labels()
+    nodes = sorted(labels, key=lambda x: (cx.degree_of(x), x))
+    covers = sorted((lo, hi, sign) for hi in labels for lo, sign in cx.out_entries(hi))
     lines = ["digraph face_poset {", "  rankdir=BT;"]
     for x in nodes:
         lines.append(f'  "{x}" [label="{x}\\nrank {cx.degree_of(x)}"];')

@@ -34,16 +34,6 @@ class MonomialIdeal:
     def __hash__(self) -> int:
         return hash(self.gens)
 
-    def __len__(self) -> int:
-        return len(self.gens)
-
-    def __iter__(self):
-        return iter(self.gens)
-
-    def __contains__(self, m: Monomial) -> bool:
-        steps = exponent_steps(self.gens)
-        return any(code(g, steps) & ~code(m, steps) == 0 for g in self.gens)
-
     @property
     def support(self) -> frozenset:
         out: set = set()

@@ -55,26 +55,14 @@ class Monomial:
     def __init__(self, exps: Mapping[Variable, int] | Iterable[tuple[Variable, int]] = ()):
         items = dict(exps)
         cleaned = tuple(sorted((v, e) for v, e in items.items() if e != 0))
-        for _, e in cleaned:
+        mask = 0
+        for v, e in cleaned:
             if e < 0:
                 raise ValueError("negative exponent")
+            mask |= _VAR_BIT.get(v, -1) if e == 1 else -1  # -1 absorbs every bit
         self.exps: tuple[tuple[Variable, int], ...] = cleaned
         self._hash = hash(cleaned)
-
-    def __getattr__(self, name: str):
-        # Called only for an unset slot: ``mask`` is computed on first read
-        # and stored, so monomials whose mask is never read never pay for it.
-        if name != "mask":
-            raise AttributeError(name)
-        mask = 0
-        for v, e in self.exps:
-            bit = _VAR_BIT.get(v) if e == 1 else None
-            if bit is None:
-                mask = -1
-                break
-            mask |= bit
         self.mask = mask
-        return mask
 
     @staticmethod
     def one() -> "Monomial":
@@ -89,9 +77,6 @@ class Monomial:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __bool__(self) -> bool:
-        return True
 
     @property
     def degree(self) -> int:
@@ -108,12 +93,6 @@ class Monomial:
 
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.exps)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        m = dict(self.exps)
-        for v, e in other.exps:
-            m[v] = m.get(v, 0) + e
-        return Monomial(m)
 
     def divides(self, other: "Monomial") -> bool:
         b = other.mask

@@ -25,7 +25,7 @@ from .determinantal import (
     overlap_condition,
     rainbow_dfi,
 )
-from .errors import NotHomogeneous, SetupViolated
+from .errors import NotHomogeneous, SetupViolated, SizeCap
 from .ideals import MonomialIdeal, alexander_dual, codimension, colon
 from .monomials import Monomial, check_code_width, format_monomial, minimal
 from .strands import induced_subcomplex
@@ -133,6 +133,13 @@ def betti_table_formula(n: int, m: int, r: int) -> dict[tuple[int, int], int]:
 
 # -- variable differences and Hilbert-function cross-checks -------------------
 
+# The largest #variables + max_degree that hilbert_profile accepts.  That sum
+# bounds the depth of the engine's recursion, whose every level keeps a list
+# of max_degree + 1 ints, so a larger one would overflow the stack or exhaust
+# memory; below Python's default limit of 1000 frames, 512 leaves room for
+# the callers' frames.
+MAX_HILBERT_DEPTH = 512
+
 
 def hilbert_profile(
     gens: Sequence[Monomial | tuple[Monomial, Monomial]],
@@ -160,7 +167,8 @@ def hilbert_profile(
     Only degrees up to max_degree are kept: a generator above the degree
     budget is dropped, and the budget falls by one in each colon branch.
     Each branch loses a variable or a degree, so the depth is at most
-    #variables + max_degree.  All arithmetic is on integers.
+    #variables + max_degree, which may not exceed MAX_HILBERT_DEPTH: a larger
+    sum raises SizeCap before any work.  All arithmetic is on integers.
 
     A pair of unequal degrees raises NotHomogeneous; any other pair that is
     not two variables (such as a binomial of degree 2), a variable outside
@@ -168,6 +176,11 @@ def hilbert_profile(
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+    if len(variables) + max_degree > MAX_HILBERT_DEPTH:
+        raise SizeCap(
+            f"{len(variables)} variables and max_degree {max_degree} add up to more "
+            f"than {MAX_HILBERT_DEPTH}, the deepest Hilbert recursion allowed"
+        )
     index = {v: k for k, v in enumerate(variables)}
     rep = list(range(len(index)))
     monomials: list[tuple[tuple[int, int], ...]] = []

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .errors import ParseError
 from .monomials import Monomial
 
 LT, EQ, GT = -1, 0, 1
@@ -80,22 +81,27 @@ class TermOrder:
         """Inverse of :meth:`to_json`: an object whose ``weights`` are n
         lists of m integers, with optional integer ``n`` and ``m``.  Anything
         else (a bool, float or string where an integer belongs, say) raises
-        ValueError instead of being coerced."""
+        ParseError instead of being coerced."""
         if not isinstance(data, dict):
-            raise ValueError(f"a term order is a JSON object, got {type(data).__name__}")
+            raise ParseError(
+                f"bad term-order file: a term order is a JSON object, got {type(data).__name__}"
+            )
         if data.get("tiebreak", "row-major") != "row-major":
-            raise ValueError("only the row-major tiebreak is supported")
+            raise ParseError("bad term-order file: only the row-major tiebreak is supported")
         rows = data.get("weights")
         if not isinstance(rows, list) or not all(
             isinstance(row, list) and all(_is_int(x) for x in row) for row in rows
         ):
-            raise ValueError("weights must be a list of lists of integers")
+            raise ParseError("bad term-order file: weights must be a list of lists of integers")
         weights = tuple(tuple(row) for row in rows)
         n = data.get("n", len(weights))
         m = data.get("m", len(weights[0]) if weights else 0)
         if not (_is_int(n) and _is_int(m)):
-            raise ValueError("n and m must be integers")
-        return TermOrder(n, m, weights)
+            raise ParseError("bad term-order file: n and m must be integers")
+        try:
+            return TermOrder(n, m, weights)
+        except ValueError as exc:
+            raise ParseError(f"bad term-order file: {exc}") from exc
 
 
 def _is_int(x) -> bool:

@@ -78,6 +78,11 @@ def random_overlap_dual(n, m, rng, max_facets=None):
     return PureComplex(n, m, chosen)
 
 
+def in_ideal(ideal, m):
+    """Whether the monomial m lies in the ideal: some generator divides it."""
+    return any(g.divides(m) for g in ideal.gens)
+
+
 def replay_free_sequence(cx, ordering):
     """Replay a prescribed deletion order, confirming each vertex lies in a
     unique facet at its turn."""

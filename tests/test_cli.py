@@ -223,12 +223,13 @@ def test_json_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_prime_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("RAINBOW_PRIME", "2")
+def test_prime_comes_from_the_flag_only(tmp_path, monkeypatch):
+    # No environment variable sets the prime: --prime and its default do.
+    monkeypatch.setenv("RAINBOW_PRIME", "9")
     out = tmp_path / "en.json"
     assert run(["sparse-en", "-n", "2", "-m", "3", "--certify-cw", "-o", str(out)]) == 0
     data = json.loads(out.read_text())
-    assert data["manifest"]["prime"] == 2
+    assert data["manifest"]["prime"] == 32003
     assert data["cw_certificate"]["verdict"] is True
 
 
@@ -281,15 +282,6 @@ def test_bad_prime_rejected(tmp_path, capsys, argv):
     argv = [_worked_dual(tmp_path) if a == "DUAL" else a for a in argv]
     assert run(argv) == 2
     _assert_one_error_line(capsys, "RainbowError")
-
-
-def test_bad_prime_env_rejected(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("RAINBOW_PRIME", "9")
-    assert run(["strand", "--dual-file", _worked_dual(tmp_path)]) == 2
-    _assert_one_error_line(capsys, "RainbowError")
-    monkeypatch.setenv("RAINBOW_PRIME", "two")
-    assert run(["strand", "--dual-file", _worked_dual(tmp_path)]) == 2
-    _assert_one_error_line(capsys, "ParseError")
 
 
 def test_largest_prime_accepted(tmp_path):
@@ -421,6 +413,27 @@ def test_betti_refuses_an_exponent_past_the_code_width_cap(tmp_path, capsys):
     ideal.write_text(json.dumps(["x[1]^200000", "x[2]^3"]))
     assert run(["betti", "--ideal-file", str(ideal)]) == 0
     assert capsys.readouterr().out.endswith("2,200003,x[1]^200000 * x[2]^3,1\n")
+
+
+# Once exited 1 with a MemoryError traceback from the Hilbert engine, which
+# keeps max_degree + 1 ints on each of up to #variables + max_degree levels.
+# Run in a child under a 1 GB address-space limit, so that a missing bound
+# fails this test instead of exhausting the machine's memory.
+def test_polarize_refuses_a_degree_bound_past_the_hilbert_cap():
+    def limit():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(rainbowcw.__file__).parent.parent))
+    dual = Path(__file__).parent / "data" / "dual35.json"
+    argv = [sys.executable, "-m", "rainbowcw.cli", "polarize", "--dual-file", str(dual),
+            "--max-degree", "1000000000"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, preexec_fn=limit,
+                          timeout=120)
+    assert done.returncode == 2 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: SizeCap:"), done.stderr
 
 
 # At 2x4, [1,2] once exited 1 with an AttributeError traceback and

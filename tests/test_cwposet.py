@@ -252,16 +252,15 @@ def _dot_counts(dot):
 
 def test_export_poset():
     B2 = boolean_poset(2)
-    dot = export_poset(B2)
+    dot = export_poset(B2.cx)
     assert dot.startswith("digraph face_poset {\n  rankdir=BT;\n") and dot.endswith("\n}")
     assert _dot_counts(dot)[:2] == (4, 4)
 
     # one node per element, 1 + 6 + 8 + 3, and one edge per differential entry
-    P = face_poset(sparse_eagon_northcott(diagonal_order(2, 4)))
-    nodes, edges, dashed, lines = _dot_counts(export_poset(P))
-    entries = [s for hi in P.elements for _, s in P.cx.out_entries(hi)]
+    cx = sparse_eagon_northcott(diagonal_order(2, 4))
+    nodes, edges, dashed, lines = _dot_counts(export_poset(cx))
+    entries = [s for hi in cx.all_labels() for _, s in cx.out_entries(hi)]
     assert (nodes, edges, lines) == (18, 32, 53)
     assert edges == len(entries) and dashed == entries.count(-1) > 0
 
-    empty = face_poset(taylor_complex([]))
-    assert _dot_counts(export_poset(empty)) == (1, 0, 0, 4)
+    assert _dot_counts(export_poset(taylor_complex([]))) == (1, 0, 0, 4)

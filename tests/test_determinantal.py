@@ -68,8 +68,8 @@ def test_initial_ideal_generators(order24_left, order24_right):
 
     left = initial_ideal_maximal_minors(order24_left)
     right = initial_ideal_maximal_minors(order24_right)
-    assert {str(g) for g in left} == LEFT_VERTEX_LABELS
-    assert {str(g) for g in right} == RIGHT_VERTEX_LABELS
+    assert {str(g) for g in left.gens} == LEFT_VERTEX_LABELS
+    assert {str(g) for g in right.gens} == RIGHT_VERTEX_LABELS
 
 
 def test_generator_count_and_rainbow_shape():
@@ -78,8 +78,8 @@ def test_generator_count_and_rainbow_shape():
         for _ in range(5):
             order = random_term_order(n, m, rng)
             ideal = initial_ideal_maximal_minors(order)
-            assert len(ideal) == len(list(combinations(range(m), n)))
-            for g in ideal:
+            assert len(ideal.gens) == len(list(combinations(range(m), n)))
+            for g in ideal.gens:
                 rows = sorted(i for (i, _), _ in g.exps)
                 assert rows == list(range(1, n + 1))
 
@@ -95,7 +95,7 @@ def test_alexander_dual_complex(dual35):
 
 def test_rainbow_dfi(order35, delta35):
     rain = rainbow_dfi(delta35, order35)
-    assert len(rain) == 8
+    assert len(rain.gens) == 8
     full = rainbow_dfi(alexander_dual_complex(PureComplex(3, 5, [])), order35)
     assert full == initial_ideal_maximal_minors(order35)
     assert rainbow_dfi(PureComplex(3, 5, []), order35).is_zero()

@@ -150,7 +150,7 @@ def atom_order_witness(order):
         mu_cols = {i: j for (i, j), _ in mu.exps}
         nu_cols = {i: j for (i, j), _ in nu.exps}
         swaps = [
-            nu / Monomial.variable((i, nu_cols[i])) * Monomial.variable((i, mu_cols[i]))
+            Monomial({(r, mu_cols[r] if r == i else c): 1 for r, c in nu_cols.items()})
             for i in range(1, n + 1)
             if mu_cols[i] != nu_cols[i]
         ]

@@ -299,8 +299,7 @@ GOLDEN = {
 }
 
 
-def _digest(argv, prime, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("RAINBOW_PRIME", raising=False)
+def _digest(argv, prime, tmp_path, capsys):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv] + ["--prime", str(prime)]
     assert main(argv) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode())
@@ -311,7 +310,7 @@ def _digest(argv, prime, tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("prime", [2, 32003])
 @pytest.mark.parametrize("name", list(RUNS))
-def test_cli_output_matches_golden(name, prime, tmp_path, capsys, monkeypatch):
-    got = _digest(RUNS[name], prime, tmp_path, capsys, monkeypatch)
+def test_cli_output_matches_golden(name, prime, tmp_path, capsys):
+    got = _digest(RUNS[name], prime, tmp_path, capsys)
     assert got == GOLDEN[f"{name} p={prime}"]
 

@@ -23,7 +23,12 @@ from rainbowcw import (
 )
 from rainbowcw.errors import NotHomogeneous, SizeCap
 from rainbowcw.monomials import MAX_CODE_BITS, Monomial, parse_monomial
-from rainbowcw.polarization import linearity_criterion, regular_profile_ok, row_differences
+from rainbowcw.polarization import (
+    MAX_HILBERT_DEPTH,
+    linearity_criterion,
+    regular_profile_ok,
+    row_differences,
+)
 from tests.conftest import boocher_sequence, random_overlap_dual
 
 
@@ -242,3 +247,23 @@ def test_a_layout_past_the_code_width_cap_is_refused():
     ]
     with pytest.raises(SizeCap):
         hilbert_profile([at_cap, Monomial.variable(2)], [], 1, [1, 2])
+
+
+# The recursion goes as deep as #variables + max_degree: this colon chain,
+# one level per power of x[1], once ended in a RecursionError at exponent
+# 5000.  At the cap it still runs, checked against the count of the
+# monomials of each degree d outside (x[1]^a) * (x[2], x[3]).
+def test_a_recursion_past_the_depth_cap_is_refused():
+    deep = [Monomial({1: 5000, 2: 1}), Monomial({1: 5000, 3: 1})]
+    with pytest.raises(SizeCap, match="3 variables and max_degree 5010 add up to more than 512"):
+        hilbert_profile(deep, [], 5010, [1, 2, 3])
+    top = MAX_HILBERT_DEPTH - 3
+    a = top - 4
+    chain = [Monomial({1: a, 2: 1}), Monomial({1: a, 3: 1})]
+    with pytest.raises(SizeCap):
+        hilbert_profile(chain, [], top + 1, [1, 2, 3])
+    want = [
+        (d + 2) * (d + 1) // 2 - ((d - a + 2) * (d - a + 1) // 2 - 1 if d >= a else 0)
+        for d in range(top + 1)
+    ]
+    assert hilbert_profile(chain, [], top, [1, 2, 3]) == [want]

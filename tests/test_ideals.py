@@ -22,7 +22,7 @@ from rainbowcw.errors import NotEquigenerated, NotSquarefree, SizeCap, UnitIdeal
 from rainbowcw.ideals import _all_monomials, _minimalize
 from rainbowcw.monomials import MAX_CODE_BITS, check_one_ring
 from rainbowcw.polarization import specialize
-from tests.conftest import random_overlap_dual
+from tests.conftest import in_ideal, random_overlap_dual
 from tests.test_hilbert_engine import small_monomials
 
 
@@ -32,8 +32,8 @@ def plain(*specs):
 
 def test_minimalization():
     ideal = plain("x[1] * x[2]", "x[1] * x[2] * x[3]", "x[1] * x[2]")
-    assert len(ideal) == 1
-    assert parse_monomial("x[1] * x[2] * x[3]") in ideal
+    assert len(ideal.gens) == 1
+    assert in_ideal(ideal, parse_monomial("x[1] * x[2] * x[3]"))
 
 
 def test_colon_worked_example(order35, delta35):
@@ -48,8 +48,11 @@ def test_colon_worked_example(order35, delta35):
 def test_colon_containment():
     ideal = plain("x[1]^2 * x[2]", "x[2] * x[3]", "x[3]^3")
     g = parse_monomial("x[1] * x[3]")
-    for q in colon(ideal, g):
-        assert q * g in ideal
+    for q in colon(ideal, g).gens:
+        product = dict(q.exps)
+        for v, e in g.exps:
+            product[v] = product.get(v, 0) + e
+        assert in_ideal(ideal, Monomial(product))
 
 
 def test_codimension():
@@ -108,7 +111,7 @@ def test_alexander_dual_involution_small():
         for r in (1, 2, 3):
             for gens in combinations(pool, r):
                 ideal = MonomialIdeal(gens)
-                if len(ideal) != r:
+                if len(ideal.gens) != r:
                     continue  # not a minimal system, skip
                 assert alexander_dual(alexander_dual(ideal)) == ideal
 
@@ -201,7 +204,7 @@ def test_minimalize_matches_the_reference_on_small_ideals(gens):
 
 def test_minimalize_keeps_the_unit_alone_and_the_zero_ideal_empty():
     x, y = Monomial.variable(1), Monomial.variable(2)
-    assert _minimalize([x, Monomial.one(), y * y, Monomial.one()]) == (Monomial.one(),)
+    assert _minimalize([x, Monomial.one(), Monomial({2: 2}), Monomial.one()]) == (Monomial.one(),)
     assert _minimalize([]) == ()
     assert _minimalize(m for m in [y, x, y]) == (x, y)
 

@@ -45,7 +45,8 @@ ALLOWED_OPTIONS = {
     ("verify_multidegree_bijection", "cx"): "a paper check (tests/test_acceptance.py, "
     "criterion 3) that reuses a complex the caller has built",
     ("complementary_ideal", "squarefree"): "complementary_ideal itself is kept "
-    "only because the benchmark wraps it (ROADMAP item 2)",
+    "only because the benchmark wraps it (ROADMAP item 1, 'Unwrap what only the "
+    "tracer names')",
 }
 
 
