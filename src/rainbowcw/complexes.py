@@ -16,8 +16,9 @@ strands, indexed by the lcm closure of the multidegrees involved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations
+from operator import or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import GradingViolation, SizeCap, UnitIdeal
@@ -151,11 +152,13 @@ class BasedComplex:
             number = {l: k for k, l in enumerate(self.all_labels())}
             mdegs = [self._mdeg[l] for l in number]
             steps = exponent_steps(mdegs)
+            codes = tuple(code(m, steps) for m in mdegs)
             self._cells = _CellIndex(
                 tuple(self._degree_of[l] for l in number),
                 tuple(tuple((number[t], s) for t, s in self._out[l]) for l in number),
                 steps,
-                *_variable_bitsets([code(m, steps) for m in mdegs]),
+                codes,
+                *_variable_bitsets(codes),
             )
         return self._cells
 
@@ -169,24 +172,16 @@ class BasedComplex:
         ``modulo`` are dropped as well, together with their entries.  Raises
         ValueError if ``modulo`` does not divide alpha.
 
-        The retained cells are read from the cell index as one bitset,
-        div(alpha) & ~div(modulo), where div(a) drops the cells whose
-        exponent code (see ``monomials.exponent_steps``) holds a step
-        outside the code of a; only its set bits are visited."""
+        The retained cells are read from the cell index as one bitset (see
+        ``_strand_cells``); only its set bits are visited."""
         if modulo is not None and not modulo.divides(alpha):
             raise ValueError(f"{modulo} does not divide {alpha}")
         cells = self._cell_index()
-        a = code(alpha, cells.steps)
-        kept = _inside(a, cells.used, cells.has, cells.every)
-        if modulo is not None:
-            # a cell of div(alpha) lies in div(modulo) unless it holds a
-            # step of alpha outside modulo
-            kept &= ~_inside(code(modulo, cells.steps), a & cells.used, cells.has, kept)
         degrees, out = cells.degrees, cells.out
         dims = [0] * len(self._basis)
         diffs: list[list[dict[int, int]]] = [[] for _ in dims]
         row: dict[int, int] = {}
-        for k in members(kept):
+        for k in members(self._strand_cells(alpha, modulo)):
             i = degrees[k]
             row[k] = dims[i]
             dims[i] += 1
@@ -196,17 +191,36 @@ class BasedComplex:
                     diffs[i].append(column)
         return VectorComplex(dims, diffs)
 
+    def _strand_cells(self, alpha: Monomial, modulo: Monomial | None) -> int:
+        """The cells of C(alpha)/C(modulo) as a bitset over the cell index,
+        div(alpha) & ~div(modulo), where div(a) drops the cells whose
+        exponent code (see ``monomials.exponent_steps``) holds a step
+        outside the code of a; ``modulo`` must divide alpha."""
+        cells = self._cell_index()
+        a = code(alpha, cells.steps)
+        kept = _inside(a, cells.used, cells.has, cells.every)
+        if modulo is not None:
+            # a cell of div(alpha) lies in div(modulo) unless it holds a
+            # step of alpha outside modulo
+            kept &= ~_inside(code(modulo, cells.steps), a & cells.used, cells.has, kept)
+        return kept
+
     def _closure_generators(self) -> list[Monomial]:
         """The basis multidegrees in degrees >= 1, without those equal to
         the lcm of their proper divisors in the set (for a homogenized
-        complex, this leaves the degree-1 layer), by degree."""
-        gens = {self._mdeg[l] for layer in self._basis[1:] for l in layer}
-        ordered = sorted(gens, key=lambda m: (m.degree, m.sort_key()))
+        complex, this leaves the degree-1 layer), by degree.  Divisibility
+        and lcm are decided on the exponent codes of the cell index: d
+        divides c when d & ~c == 0, and the lcm is the OR."""
+        cells = self._cell_index()
+        labels = self.all_labels()
+        gens = {c: self._mdeg[labels[k]] for k, c in enumerate(cells.codes) if cells.degrees[k]}
         core: list[Monomial] = []
-        for m in ordered:
-            below = [d for d in core if d.divides(m)]
-            if not below or lcm_of(below) != m:
+        codes: list[int] = []
+        for c, m in sorted(gens.items(), key=lambda g: (g[1].degree, g[1].sort_key())):
+            below = [d for d in codes if not d & ~c]
+            if not below or reduce(or_, below) != c:
                 core.append(m)
+                codes.append(c)
         return core
 
     def relevant_multidegrees(self) -> list[Monomial]:
@@ -229,8 +243,14 @@ class BasedComplex:
         only the cells above it are ranked (all cells if there is none).
         The generators are numbered once per sweep, and the ones below
         alpha, or with a given step, are int bitsets over those numbers.
-        Raises ValueError unless d o d = 0 over Z, which the long exact
-        sequence needs."""
+
+        The ranks of a strand depend only on its cells, so the sweep keeps
+        one memo, for this call only, from the cell bitset of C(alpha)/C(gamma)
+        (``_strand_cells``) to its ranks: ``strand_at`` is called and ranked
+        only at the first alpha of each cell set, and every alpha gets a
+        list of its own.  Raises ValueError unless p is a prime below 2^31
+        and d o d = 0 over Z, which the long exact sequence needs."""
+        check_prime(p)
         if not self.check_complex():
             raise ValueError("d o d is not zero: the strands are not complexes")
         core = self._closure_generators()
@@ -238,6 +258,7 @@ class BasedComplex:
         gens = [code(g, steps) for g in core]
         every, used, gwith = _variable_bitsets(gens)
         acyclic: dict[int, Monomial] = {}
+        ranked: dict[int, list[int]] = {}
         for alpha in lcm_closure(core):
             a, modulo = code(alpha, steps), None
             below = _inside(a, used, gwith, every)
@@ -254,10 +275,13 @@ class BasedComplex:
                 modulo = acyclic.get(gamma)
                 if modulo is not None:
                     break
-            hom = self.strand_at(alpha, modulo).homology_ranks(p)
+            kept = self._strand_cells(alpha, modulo)
+            hom = ranked.get(kept)
+            if hom is None:
+                hom = ranked[kept] = self.strand_at(alpha, modulo).homology_ranks(p)
             if not any(hom):
                 acyclic[a] = alpha
-            yield alpha, hom
+            yield alpha, list(hom)
 
     def is_resolution(self, p: int = DEFAULT_PRIME) -> bool:
         """Acyclicity: d o d = 0 over Z, and every strand over the lcm
@@ -317,12 +341,13 @@ class BasedComplex:
 class _CellIndex(NamedTuple):
     """The cells of a complex numbered 0..N-1 in basis order: each cell's
     homological degree and differential entries as (target number, sign),
-    the exponent steps of their multidegrees, and ``_variable_bitsets`` of
-    their codes."""
+    the exponent steps of their multidegrees, their exponent codes, and
+    ``_variable_bitsets`` of those codes."""
 
     degrees: tuple[int, ...]
     out: tuple[tuple[tuple[int, int], ...], ...]
     steps: Steps
+    codes: tuple[int, ...]
     every: int
     used: int
     has: dict[int, int]
@@ -476,7 +501,10 @@ class BettiTable:
 
 
 def koszul_strand_homology(
-    ideal: MonomialIdeal, alpha: Monomial, p: int = DEFAULT_PRIME
+    ideal: MonomialIdeal,
+    alpha: Monomial,
+    p: int = DEFAULT_PRIME,
+    memo: dict[tuple[int, tuple[int, ...]], list[int]] | None = None,
 ) -> list[int]:
     """Homology ranks of the multidegree-alpha strand of the Koszul complex on
     all variables tensored with R/I, in homological degrees 0..|supp(alpha)|.
@@ -501,12 +529,26 @@ def koszul_strand_homology(
     Sets of subsets are Python ints of 2^s bits, s = |supp(alpha)|, with bit
     S standing for the subset with bit mask S over the sorted support; the
     cells reach ``cell_homology`` in increasing mask order.
+
+    The ranks of C_v depend only on s and its cells, at a fixed p, so they
+    are looked up in ``memo``, from (s, the tuple of cell masks) to ranks:
+    a cone already in it is not ranked again, and a new one is added.  A
+    caller that ranks many multidegrees at one prime passes one dict for
+    all of them; without one, the memo is a fresh dict for this call.  The
+    key grows with the number of cells, not with 2^s.  The list returned is
+    always the caller's own.
     """
+    if memo is None:
+        memo = {}
     s = len(alpha.support)
     standard = _standard_subsets(ideal, alpha)
     if s == 0:
         return [standard]
-    return cell_homology(members(min(_cones(standard, s), key=int.bit_count)), s, p)
+    cells = tuple(members(min(_cones(standard, s), key=int.bit_count)))
+    ranks = memo.get((s, cells))
+    if ranks is None:
+        ranks = memo[s, cells] = cell_homology(cells, s, p)
+    return list(ranks)
 
 
 @cache
@@ -581,6 +623,10 @@ def koszul_betti(
     comparisons, where only row entries up to the resolution length matter).
     Raises ``UnitIdeal`` for the unit ideal and ``SizeCap``, before any
     work, for an ideal on more than ``MAX_SUPPORT`` variables.
+
+    Every alpha goes through ``koszul_strand_homology`` with one memo kept
+    for this call only, from (|supp(alpha)|, cone cells) to ranks, so a
+    cone that recurs among the multidegrees is ranked once.
     """
     check_prime(p)
     if ideal.is_unit():
@@ -593,8 +639,9 @@ def koszul_betti(
         )
     table = BettiTable()
     table.add(0, Monomial.one(), 1)
+    ranked: dict[tuple[int, tuple[int, ...]], list[int]] = {}
     for alpha in lcm_closure(ideal.gens, degree_cap=degree_cap):
-        hom = koszul_strand_homology(ideal, alpha, p)
+        hom = koszul_strand_homology(ideal, alpha, p, ranked)
         for i, rank in enumerate(hom):
             if i >= 1 and rank:
                 table.add(i, alpha, rank)

@@ -174,42 +174,48 @@ def test_criterion_4_cw_certification(soundness_corpus):
     )
 
 
-def test_criterion_5_strand_theorems():
+def strand_runs():
+    """The seeded (n, m, order, delta) runs of criterion 5."""
     rng = random.Random(31337)
-    t0 = time.monotonic()
-    runs = 0
     for n, m in STRAND_SIZES:
         pool = list(combinations(range(1, m + 1), n))
         for _ in range(STRAND_RUNS_PER_SIZE):
             order = random_term_order(n, m, rng)
             facets = rng.sample(pool, rng.randint(1, len(pool)))
-            delta = PureComplex(n, m, facets)
-            cx = sparse_eagon_northcott(order)
-            keep = {format_monomial(initial_minor(order, f)) for f in delta.facets}
-            # delete the complementary vertices one at a time: the kernel of
-            # the comparison morphism must equal the induced subcomplex
-            current = cx
-            for v in sorted(set(cx.labels(1)) - keep):
-                ker = strand_via_kernel(current, v, order)
-                ind = induced_subcomplex(current, set(current.labels(1)) - {v})
-                assert complexes_equal(ker, ind)
-                current = ind
-            strand = rainbow_linear_strand(delta, order, cx)
-            assert complexes_equal(current, strand)
-            assert is_linear_strand_of_module(strand)
-            rain = rainbow_dfi(delta, order)
-            linear_row = koszul_betti(rain, degree_cap=m).row(n - 1)
-            ranks = strand.ranks()
-            assert linear_row == {i: ranks[i] for i in range(1, len(ranks)) if ranks[i]}
-            runs += 1
+            yield n, m, order, PureComplex(n, m, facets)
+
+
+def test_criterion_5_strand_theorems():
+    t0 = time.monotonic()
+    runs = 0
+    for n, m, order, delta in strand_runs():
+        cx = sparse_eagon_northcott(order)
+        keep = {format_monomial(initial_minor(order, f)) for f in delta.facets}
+        # delete the complementary vertices one at a time: the kernel of
+        # the comparison morphism must equal the induced subcomplex
+        current = cx
+        for v in sorted(set(cx.labels(1)) - keep):
+            ker = strand_via_kernel(current, v, order)
+            ind = induced_subcomplex(current, set(current.labels(1)) - {v})
+            assert complexes_equal(ker, ind)
+            current = ind
+        strand = rainbow_linear_strand(delta, order, cx)
+        assert complexes_equal(current, strand)
+        assert is_linear_strand_of_module(strand)
+        rain = rainbow_dfi(delta, order)
+        linear_row = koszul_betti(rain, degree_cap=m).row(n - 1)
+        ranks = strand.ranks()
+        assert linear_row == {i: ranks[i] for i in range(1, len(ranks)) if ranks[i]}
+        runs += 1
     print(
         f"ACCEPTANCE 5: PASS - kernel=restriction, linear-strand criterion and "
         f"oracle ranks over {runs} runs ({time.monotonic() - t0:.1f}s)"
     )
 
 
-@pytest.fixture(scope="session")
-def equivalence_corpus():
+def equivalence_runs():
+    """The seeded (n, m, order, dual, delta, rain) runs of criteria 6 and 8,
+    those with a nonzero rainbow DFI."""
     rng = random.Random(5150)
     corpus = []
     for n, m in EQUIV_SIZES:
@@ -222,6 +228,11 @@ def equivalence_corpus():
                 continue
             corpus.append((n, m, order, dual, delta, rain))
     return corpus
+
+
+@pytest.fixture(scope="session")
+def equivalence_corpus():
+    return equivalence_runs()
 
 
 def test_criterion_6_linearity_equivalence(equivalence_corpus):

@@ -400,8 +400,8 @@ def test_strand_homologies_match_the_plain_sweep(cx, p):
 
 
 def _relative_strands(cx, monkeypatch):
-    """How many strands ``strand_homologies`` ranks modulo an acyclic one,
-    and how many it ranks."""
+    """How many of the strands that ``strand_homologies`` ranks are relative
+    to an acyclic one, how many it ranks, and how many alphas it yields."""
     moduli = []
     original = BasedComplex.strand_at
 
@@ -412,19 +412,23 @@ def _relative_strands(cx, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(BasedComplex, "strand_at", recording)
         swept = list(cx.strand_homologies(32003))
-    assert len(moduli) == len(swept)
-    return sum(m is not None for m in moduli), len(swept)
+    return sum(m is not None for m in moduli), len(moduli), len(swept)
 
 
 def test_the_sweep_ranks_relative_strands(monkeypatch):
-    # on a resolution nearly every strand is ranked modulo an acyclic one;
-    # a sweep that always took the full strand would fail here
-    relative, swept = _relative_strands(sparse_eagon_northcott(diagonal_order(3, 6)), monkeypatch)
-    assert relative > 0.8 * swept
+    # on a resolution nearly every strand ranked is relative to an acyclic
+    # one; a sweep that always took the full strand would fail here.  The
+    # 612 alphas hold 206 distinct cell sets, and only those are ranked.
+    relative, ranked, swept = _relative_strands(
+        sparse_eagon_northcott(diagonal_order(3, 6)), monkeypatch)
+    assert relative > 0.8 * ranked and (ranked, swept) == (206, 612)
     # so is half the sweep of a Taylor complex on plain, non-squarefree
-    # generators: their exponent steps find the acyclic strands below
+    # generators: their exponent steps find the acyclic strands below.
+    # Its 8 strands have 8 distinct cell sets (each generator's strand holds
+    # the unit and its own vertex, each relative strand its own faces), so
+    # all are ranked.
     gens = [parse_monomial(s) for s in ("x[1] * x[2]", "x[2] * x[3]", "x[1] * x[3]", "x[3]^2")]
-    assert _relative_strands(taylor_complex(gens), monkeypatch) == (4, 8)
+    assert _relative_strands(taylor_complex(gens), monkeypatch) == (4, 8, 8)
 
 
 def test_cells_from_two_rings_are_refused():

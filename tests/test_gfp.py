@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rainbowcw import gfp
-from rainbowcw.complexes import BasedComplex, koszul_betti
+from rainbowcw.complexes import BasedComplex, is_linear_strand_of_module, koszul_betti
 from rainbowcw.cwposet import face_poset, is_cw_poset
 from rainbowcw.determinantal import random_term_order
 from rainbowcw.eagon_northcott import sparse_eagon_northcott
@@ -231,6 +231,10 @@ def test_bad_prime_raises_in_the_library(p):
         VectorComplex([1, 1], [[], []]).homology_ranks(p)
     with pytest.raises(ValueError, match="prime"):
         _koszul_on_two_variables().is_resolution(p)
+    with pytest.raises(ValueError, match="prime"):
+        is_linear_strand_of_module(_koszul_on_two_variables(), p)
+    with pytest.raises(ValueError, match="prime"):
+        next(_koszul_on_two_variables().strand_homologies(p))
     with pytest.raises(ValueError, match="prime"):
         koszul_betti(MonomialIdeal([Monomial({1: 1, 2: 1})]), p=p)
 

@@ -1,15 +1,18 @@
 """``BasedComplex.strand_at`` and the sweep of ``strand_homologies``, which
 read cells and closure generators from per-step bitsets over exponent codes,
-against the scanning strand and a search for an acyclic strand below on
-sets of (variable, step) pairs."""
+against the scanning strand, the pairwise closure generators, and a search
+for an acyclic strand below on sets of (variable, step) pairs.  The sweep
+ranks each distinct cell set once, so it builds a strand only at the first
+alpha of each cell set of the reference."""
 
 import random
 
 import pytest
 
 from rainbowcw import BasedComplex, Monomial, diagonal_order, sparse_eagon_northcott
+from rainbowcw.complexes import lcm_closure
 from rainbowcw.gfp import VectorComplex
-from rainbowcw.monomials import STRIDE
+from rainbowcw.monomials import STRIDE, lcm_of
 from tests.test_complexes import _SWEEP_CORPUS
 from tests.test_determinantal import seeded_order
 from tests.test_restrict_reference import keep_sets
@@ -19,18 +22,21 @@ CASES = [cx for _, cx in _SWEEP_CORPUS]
 IDS = [name for name, _ in _SWEEP_CORPUS]
 
 
+def ref_cells(cx, alpha, modulo=None):
+    """The labels of C(alpha)/C(modulo) by a scan: those whose multidegree
+    divides alpha and not ``modulo``, layer by layer."""
+    return [
+        [l for l in cx.labels(i)
+         if cx.mdeg(l).divides(alpha) and (modulo is None or not cx.mdeg(l).divides(modulo))]
+        for i in cx.degrees()
+    ]
+
+
 def ref_strand_at(cx, alpha, modulo=None):
     """Scan every basis element: keep those whose multidegree divides alpha
     (and not ``modulo``), layer by layer; a kept element's column holds the
     signs of its kept targets, as (dims, columns)."""
-    retained = []
-    for i in cx.degrees():
-        layer = cx.labels(i)
-        kept = [
-            l for l in layer
-            if cx.mdeg(l).divides(alpha) and (modulo is None or not cx.mdeg(l).divides(modulo))
-        ]
-        retained.append({l: n for n, l in enumerate(kept)})
+    retained = [{l: n for n, l in enumerate(kept)} for kept in ref_cells(cx, alpha, modulo)]
     diffs = [[] for _ in retained]
     for i in range(1, len(retained)):
         below = retained[i - 1]
@@ -39,6 +45,19 @@ def ref_strand_at(cx, alpha, modulo=None):
             if column:
                 diffs[i].append(column)
     return [len(kept) for kept in retained], diffs
+
+
+def ref_closure_generators(cx):
+    """The closure generators decided pairwise on monomials: the basis
+    multidegrees in degrees >= 1 by degree, without those equal to the lcm
+    of their proper divisors among the ones kept."""
+    gens = {cx.mdeg(l) for i in cx.degrees() if i for l in cx.labels(i)}
+    core = []
+    for m in sorted(gens, key=lambda m: (m.degree, m.sort_key())):
+        below = [d for d in core if d.divides(m)]
+        if not below or lcm_of(below) != m:
+            core.append(m)
+    return core
 
 
 def ref_steps(m):
@@ -61,15 +80,17 @@ def ref_bit_order(pairs):
 
 
 def ref_sweep(cx, p):
-    """The set-based sweep: ``(alpha, modulo, homology ranks)`` over the
-    closure, gamma the lcm of the generators below alpha that avoid the
+    """The set-based sweep: ``(alpha, modulo, cells, homology ranks)`` over
+    the closure, gamma the lcm of the generators below alpha that avoid the
     step x of alpha, x tried by fewest such generators, then in the bit
-    order; every strand from the scan."""
-    gens = [ref_steps(g) for g in cx._closure_generators()]
+    order; ``cells`` the labels of C(alpha)/C(modulo), and every strand from
+    the scan."""
+    core = ref_closure_generators(cx)
+    gens = [ref_steps(g) for g in core]
     position = ref_bit_order(frozenset().union(*gens))
     acyclic = {}
     out = []
-    for alpha in cx.relevant_multidegrees():
+    for alpha in lcm_closure(core):
         a, modulo = ref_steps(alpha), None
         below = [g for g in gens if g <= a]
         for x in sorted(a, key=lambda x: (len([g for g in below if x in g]), position[x])):
@@ -79,13 +100,16 @@ def ref_sweep(cx, p):
         hom = VectorComplex(*ref_strand_at(cx, alpha, modulo)).homology_ranks(p)
         if not any(hom):
             acyclic[a] = alpha
-        out.append((alpha, modulo, hom))
+        cells = frozenset(l for layer in ref_cells(cx, alpha, modulo) for l in layer)
+        out.append((alpha, modulo, cells, hom))
     return out
 
 
 def recorded_sweep(cx, p, monkeypatch):
-    """``strand_homologies(p)`` with the ``(alpha, modulo)`` of every
-    ``strand_at`` call it made, as ``(alpha, modulo, homology ranks)``."""
+    """``strand_homologies(p)`` as its list of ``(alpha, homology ranks)``,
+    with the ``(alpha, modulo)`` of every ``strand_at`` call it made.  Each
+    yielded list is overwritten once copied: every alpha gets a list of its
+    own, so no later alpha may see the change."""
     calls = []
     original = BasedComplex.strand_at
 
@@ -93,11 +117,29 @@ def recorded_sweep(cx, p, monkeypatch):
         calls.append((alpha, modulo))
         return original(self, alpha, modulo)
 
+    swept = []
     with monkeypatch.context() as patch:
         patch.setattr(BasedComplex, "strand_at", recording)
-        swept = list(cx.strand_homologies(p))
-    assert [alpha for alpha, _ in calls] == [alpha for alpha, _ in swept]
-    return [(alpha, modulo, hom) for (alpha, modulo), (_, hom) in zip(calls, swept)]
+        for alpha, hom in cx.strand_homologies(p):
+            swept.append((alpha, list(hom)))
+            hom[:] = [-1] * len(hom)
+    return calls, swept
+
+
+def assert_sweep_matches(cx, p, monkeypatch):
+    """The sweep yields the reference's ranks at every alpha, and builds a
+    strand, with the reference's modulo, only at the first alpha of each
+    cell set of the reference, in order."""
+    calls, swept = recorded_sweep(cx, p, monkeypatch)
+    reference = ref_sweep(cx, p)
+    assert swept == [(alpha, hom) for alpha, _, _, hom in reference]
+    seen = set()
+    first = []
+    for alpha, modulo, cells, _ in reference:
+        if cells not in seen:
+            seen.add(cells)
+            first.append((alpha, modulo))
+    assert calls == first
 
 
 def assert_strands_match(cx, alphas):
@@ -121,7 +163,7 @@ def test_strands_match_the_scan(cx):
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("cx", CASES, ids=IDS)
 def test_the_sweep_takes_the_same_modulo(cx, p, monkeypatch):
-    assert recorded_sweep(cx, p, monkeypatch) == ref_sweep(cx, p)
+    assert_sweep_matches(cx, p, monkeypatch)
 
 
 @pytest.mark.parametrize("order", [diagonal_order(3, 5), seeded_order(3, 5, 2)], ids=["diag", "seeded"])
@@ -136,5 +178,10 @@ def test_a_restriction_does_not_inherit_the_cell_index(order, monkeypatch):
         if sub.check_complex():  # the sweep refuses a non-complex
             swept += 1
             for p in PRIMES:
-                assert recorded_sweep(sub, p, monkeypatch) == ref_sweep(sub, p)
+                assert_sweep_matches(sub, p, monkeypatch)
     assert swept >= 4
+
+
+@pytest.mark.parametrize("cx", CASES, ids=IDS)
+def test_closure_generators_match_the_pairwise_decision(cx):
+    assert cx._closure_generators() == ref_closure_generators(cx)
