@@ -49,10 +49,12 @@ def sparse_eagon_northcott(order: TermOrder) -> BasedComplex:
 
     The elements and contraction terms are those of the classical complex
     (``eagon_northcott_complex`` in ``tests/test_eagon_northcott.py``, the
-    reference this build is checked against), in the same order, kept as
-    plain ``(alpha, cols)`` keys with the support mask, label and order
-    weight of each multidegree.  The maximum is an argmax over ints, as in
-    ``determinantal.initial_term``: weights add, so a term scores
+    reference this build is checked against), in the same order.  Each
+    layer keeps the support mask, label and order weight of its
+    multidegrees by alpha, then by the int mask of the columns (bit j for
+    column j), so a contraction term's target is the entry of the lowered
+    alpha at the column mask without bit j.  The maximum is an argmax over
+    ints, as in ``determinantal.initial_term``: weights add, so a term scores
     weight(target) + w_ij, the weight of its product.  Only the terms of the
     top score get a product monomial, the union of two masks (column j is
     not among the target's columns, so the two are coprime), and
@@ -73,16 +75,21 @@ def sparse_eagon_northcott(order: TermOrder) -> BasedComplex:
         for i in range(1, n + 1)
     ]
     weights = [(0,) + row for row in order.weights]
+    colbit = [1 << j for j in range(m + 1)]
     basis: list[list[tuple[str, Monomial]]] = [[("1", Monomial.one())]]
     diff: dict[tuple[str, str], int] = {}
 
-    below: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, str, int]] = {}
+    # below[alpha][column mask] = (support mask, label, weight) of the
+    # multidegree of (alpha, cols) in the layer below
+    first: dict[int, tuple[int, str, int]] = {}
+    below = {(0,) * n: first}
     layer = []
-    alpha = (0,) * n
     for cols in combinations(range(1, m + 1), n):
         term = initial_term(order, cols)
         label = format_monomial(term.monomial)
-        below[(alpha, cols)] = (term.monomial.mask, label, order.weight(term.monomial))
+        first[sum(colbit[j] for j in cols)] = (
+            term.monomial.mask, label, order.weight(term.monomial)
+        )
         layer.append((label, term.monomial))
         # The augmentation keeps the sign of the initial term inside the
         # minor; the lead terms of the standard minor relations only cancel
@@ -94,21 +101,23 @@ def sparse_eagon_northcott(order: TermOrder) -> BasedComplex:
         current = {}
         layer = []
         for alpha in _weak_compositions(ell - 1, n):
-            # (row bits, row weights, alpha with that row lowered) for the
-            # rows in the support of alpha
+            # (row bits, row weights, the layer below at alpha with that row
+            # lowered) for the rows in the support of alpha
             rows = [
-                (bits[i], weights[i], alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :])
+                (bits[i], weights[i], below[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]])
                 for i in range(n)
                 if alpha[i]
             ]
+            here = current[alpha] = {}
             for cols in combinations(range(1, m + 1), n + ell - 1):
+                colmask = sum(colbit[j] for j in cols)
                 # the weight of x_ij * mdeg(target) is the sum of theirs;
                 # keep the terms of the top score as (position, target
                 # label, product mask)
                 top, tied = None, []
-                for row, wrow, lowered in rows:
+                for row, wrow, prev in rows:
                     for pos, j in enumerate(cols):
-                        tmask, tlabel, tweight = below[(lowered, cols[:pos] + cols[pos + 1 :])]
+                        tmask, tlabel, tweight = prev[colmask ^ colbit[j]]
                         score = tweight + wrow[j]
                         if top is None or score > top:
                             top, tied = score, [(pos, tlabel, tmask | row[j])]
@@ -118,7 +127,7 @@ def sparse_eagon_northcott(order: TermOrder) -> BasedComplex:
                 products = {mask: from_mask(mask) for mask in {t[2] for t in tied}}
                 mdeg = order.max([products[mask] for _, _, mask in tied])
                 label = format_monomial(mdeg)
-                current[(alpha, cols)] = (mdeg.mask, label, top)
+                here[colmask] = (mdeg.mask, label, top)
                 layer.append((label, mdeg))
                 for pos, tlabel, mask in tied:
                     if mask == mdeg.mask:
@@ -130,12 +139,18 @@ def sparse_eagon_northcott(order: TermOrder) -> BasedComplex:
 
 def decode_blocks(mdeg: Monomial, n: int) -> tuple[tuple[int, ...], ...]:
     """Read the per-row column blocks b_i off a multidegree
-    x_{1 b_1} ... x_{n b_n}; requires a squarefree grid monomial with at
-    least one variable in every row."""
+    x_{1 b_1} ... x_{n b_n}; requires a squarefree grid monomial in rows
+    1..n with at least one variable in every row, and raises ValueError
+    for any other."""
     blocks: list[list[int]] = [[] for _ in range(n)]
-    for (i, j), e in mdeg.exps:
+    for v, e in mdeg.exps:
+        if not isinstance(v, tuple):
+            raise ValueError(f"{mdeg} has a variable outside the grid")
         if e != 1:
             raise ValueError(f"{mdeg} is not squarefree")
+        i, j = v
+        if not 1 <= i <= n:
+            raise ValueError(f"{mdeg} has a variable in row {i}, outside 1..{n}")
         blocks[i - 1].append(j)
     if any(not b for b in blocks):
         raise ValueError(f"{mdeg} misses a row among 1..{n}")

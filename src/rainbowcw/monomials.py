@@ -41,6 +41,8 @@ _VAR_BIT = {
 }
 # The exps entry of each bit, in bit order.
 _BIT_TERM = tuple((v, 1) for v in sorted(_VAR_BIT))
+# The printed name of each grid variable with a mask bit.
+_VAR_NAME = {(i, j): f"x[{i},{j}]" for i, j in _VAR_BIT}
 
 
 class Monomial:
@@ -273,12 +275,15 @@ def minimal(codes: Iterable[int]) -> list[int]:
 
 
 def format_monomial(m: Monomial) -> str:
-    """Render as ``x[i,j]^e * ...`` (grid) or ``x[i]^e * ...`` (plain)."""
+    """Render as ``x[i,j]^e * ...`` (grid) or ``x[i]^e * ...`` (plain).
+    A grid variable with a mask bit takes its name from a table."""
     if m.is_one():
         return "1"
     parts = []
     for v, e in m.exps:
-        name = f"x[{v[0]},{v[1]}]" if isinstance(v, tuple) else f"x[{v}]"
+        name = _VAR_NAME.get(v) or (
+            f"x[{v[0]},{v[1]}]" if isinstance(v, tuple) else f"x[{v}]"
+        )
         parts.append(name if e == 1 else f"{name}^{e}")
     return " * ".join(parts)
 

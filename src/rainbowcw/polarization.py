@@ -243,11 +243,12 @@ def _monomial_quotient_hf(monomials: list[dict[int, int]], nvars: int, top: int)
     So a divides b iff a & ~b is 0, the degree is the bit count, coprime
     means a & b is 0, v occurs iff the first bit of its run is set, and
     (I : v) clears the top set bit of each run of v.  A divisor's code is a
-    subset of its multiple's, so ``minimal`` keeps the sorted ints minimal.
-    The layout is the engine's own, not ``monomials.code``: its variables are
-    classes of identified variables (whose exponents add, so the width cap
-    is checked per call), and a Monomial per rewritten generator measured
-    slower."""
+    subset of its multiple's, so ``minimal`` keeps the sorted ints minimal
+    and ``_colon`` keeps them so in each colon step (Bigatti, "Computation
+    of Hilbert-Poincare series", JPAA 1997).  The layout is the engine's
+    own, not ``monomials.code``: its variables are classes of identified
+    variables (whose exponents add, so the width cap is checked per call),
+    and a Monomial per rewritten generator measured slower."""
     widths = [0] * nvars
     for exps in monomials:
         for v, e in exps.items():
@@ -284,12 +285,7 @@ def _monomial_quotient_hf(monomials: list[dict[int, int]], nvars: int, top: int)
         pivot = max(counts, key=counts.get)
         hf = series([g for g in gens if not g & pivot], nfree - 1, budget)
         if budget:
-            mask = run[pivot]
-            quotient = [
-                g ^ (1 << (g & mask).bit_length() - 1) if g & pivot else g for g in gens
-            ]
-            kept = minimal(sorted(g for g in quotient if g.bit_count() <= budget - 1))
-            low = series(kept, nfree, budget - 1)
+            low = series(_colon(gens, pivot, run[pivot], budget), nfree, budget - 1)
             for d in range(1, budget + 1):
                 hf[d] += low[d - 1]
         return hf
@@ -298,6 +294,22 @@ def _monomial_quotient_hf(monomials: list[dict[int, int]], nvars: int, top: int)
         sum(((1 << e) - 1) << starts[v] for v, e in exps.items()) for exps in monomials
     ]
     return series(minimal(sorted(g for g in gens if g.bit_count() <= top)), nvars, top)
+
+
+def _colon(gens: list[int], pivot: int, run: int, budget: int) -> list[int]:
+    """The minimal codes of (I : v) of degree below ``budget``, sorted, for
+    the minimal codes ``gens`` of I, none above ``budget``, where ``pivot``
+    is the first bit of the run ``run`` of v.  A lowered generator g / v is
+    below budget, and no other quotient generator divides it (it would
+    divide g), so only the unlowered ones are checked, against the lowered
+    ones."""
+    lowered, unlowered = [], []
+    for g in gens:
+        if g & pivot:
+            lowered.append(g ^ (1 << (g & run).bit_length() - 1))
+        elif g.bit_count() < budget:
+            unlowered.append(g)
+    return sorted(lowered + [g for g in unlowered if all(h & ~g for h in lowered)])
 
 
 def regular_profile_ok(profiles: list[list[int]]) -> bool:

@@ -16,6 +16,7 @@ from rainbowcw import (
     parse_monomial,
     random_term_order,
     sparse_eagon_northcott,
+    taylor_complex,
     valid_multidegrees,
     verify_differential_formula,
     verify_multidegree_bijection,
@@ -244,6 +245,21 @@ def test_verify_differential_formula():
     assert not verify_differential_formula(overlapping)
 
 
+@pytest.mark.parametrize("gens", [
+    ("x[1] * x[2]", "x[2] * x[3]"),  # plain variables: no grid pairs
+    ("x[1,1] * x[2,2]", "x[1,2] * x[3,3]"),  # row 3 in a 2-row reading
+])
+def test_verify_differential_formula_refuses_off_shape_complexes(gens):
+    cx = taylor_complex([parse_monomial(g) for g in gens])
+    assert not verify_differential_formula(cx)
+
+
+@pytest.mark.parametrize("text", ["x[0,1] * x[1,2]", "x[1,1] * x[3,2]", "x[1] * x[2]"])
+def test_decode_blocks_refuses_variables_outside_the_rows(text):
+    with pytest.raises(ValueError):
+        decode_blocks(parse_monomial(text), 2)
+
+
 def test_verify_multidegree_bijection(order24_left):
     o = diagonal_order(2, 3)
     cx = sparse_eagon_northcott(o)
@@ -383,6 +399,10 @@ def ref_sparse_eagon_northcott(order):
 @example(seeded_order(4, 7, 1))
 @example(seeded_order(4, 7, 2))
 @example(seeded_order(4, 7, 10_000))
+@example(seeded_order(2, 8, 2))
+@example(seeded_order(2, 8, 10_000))
+@example(seeded_order(7, 8, 1))
+@example(seeded_order(7, 8, 10_000))
 def test_sparse_en_matches_the_reference_build(order):
     cx, ref = sparse_eagon_northcott(order), ref_sparse_eagon_northcott(order)
     assert cx.to_json() == ref.to_json()

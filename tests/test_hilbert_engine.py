@@ -22,9 +22,10 @@ from rainbowcw import (
     random_term_order,
 )
 from rainbowcw.errors import NotHomogeneous, SizeCap
-from rainbowcw.monomials import MAX_CODE_BITS, Monomial, parse_monomial
+from rainbowcw.monomials import MAX_CODE_BITS, Monomial, minimal, parse_monomial
 from rainbowcw.polarization import (
     MAX_HILBERT_DEPTH,
+    _colon,
     linearity_criterion,
     regular_profile_ok,
     row_differences,
@@ -207,6 +208,33 @@ def sigmas(draw):
 def test_small_ideals_match_reference(gens, sigma, top):
     assert hilbert_profile(gens, sigma, top, VARIABLES) == reference_profile(
         gens, sigma, top, VARIABLES
+    )
+
+
+@st.composite
+def colon_cases(draw):
+    """Minimal sorted staircase codes of at most ``budget`` bits on up to
+    four variables with runs of 1..3 bits, a variable and the budget."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    starts = [sum(widths[:k]) for k in range(len(widths))]
+    exps = st.tuples(*(st.integers(0, w) for w in widths))
+    budget = draw(st.integers(1, sum(widths)))
+    codes = [
+        sum(((1 << e) - 1) << s for e, s in zip(vector, starts))
+        for vector in draw(st.lists(exps, max_size=8))
+    ]
+    gens = minimal(sorted(c for c in codes if c.bit_count() <= budget))
+    v = draw(st.integers(0, len(widths) - 1))
+    return gens, 1 << starts[v], ((1 << widths[v]) - 1) << starts[v], budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(colon_cases())
+def test_the_colon_step_matches_minimal_on_the_quotient(case):
+    gens, pivot, run, budget = case
+    quotient = [g ^ (1 << (g & run).bit_length() - 1) if g & pivot else g for g in gens]
+    assert _colon(gens, pivot, run, budget) == minimal(
+        sorted(g for g in quotient if g.bit_count() < budget)
     )
 
 

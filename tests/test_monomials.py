@@ -159,6 +159,30 @@ def test_mask_degree_and_squarefree_match_the_exponents(a):
     assert a.is_squarefree() == all(e == 1 for _, e in a.exps)
 
 
+def ref_format_monomial(m):
+    """The formatter before its name table: one f-string per variable."""
+    if m.is_one():
+        return "1"
+    parts = []
+    for v, e in m.exps:
+        name = f"x[{v[0]},{v[1]}]" if isinstance(v, tuple) else f"x[{v}]"
+        parts.append(name if e == 1 else f"{name}^{e}")
+    return " * ".join(parts)
+
+
+@given(st.one_of(any_monomials, st.just(Monomial.one())))
+def test_format_monomial_matches_the_reference(a):
+    assert format_monomial(a) == ref_format_monomial(a)
+
+
+def test_every_grid_variable_formats_as_the_reference():
+    for i in range(1, STRIDE + 2):
+        for j in range(1, STRIDE + 2):
+            for e in (1, 2):
+                a = Monomial({(i, j): e})
+                assert format_monomial(a) == ref_format_monomial(a)
+
+
 @given(st.one_of(st.tuples(grid_monomials_both, grid_monomials_both),
                  _coprime_squarefree(),
                  st.tuples(_crowded_squarefree, _crowded_squarefree),
