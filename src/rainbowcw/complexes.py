@@ -26,6 +26,7 @@ from .gfp import DEFAULT_PRIME, VectorComplex, cell_homology, check_prime
 from .ideals import MonomialIdeal
 from .monomials import (
     Monomial, Steps, check_one_ring, code, exponent_steps, format_monomial, lcm_of, members,
+    top_steps,
 )
 
 
@@ -505,6 +506,7 @@ def koszul_strand_homology(
     alpha: Monomial,
     p: int = DEFAULT_PRIME,
     memo: dict[tuple[int, tuple[int, ...]], list[int]] | None = None,
+    codes: tuple[Steps, Sequence[int]] | None = None,
 ) -> list[int]:
     """Homology ranks of the multidegree-alpha strand of the Koszul complex on
     all variables tensored with R/I, in homological degrees 0..|supp(alpha)|.
@@ -530,6 +532,17 @@ def koszul_strand_homology(
     S standing for the subset with bit mask S over the sorted support; the
     cells reach ``cell_homology`` in increasing mask order.
 
+    The standard subsets are read off exponent codes (``monomials.code``):
+    ``codes`` is a step layout and the codes of ``ideal.gens`` under it, in
+    that order, which ``koszul_betti`` lists once for all its multidegrees;
+    the layout must reach every exponent of alpha, as that of the
+    generators reaches each lcm of them.  Without ``codes``, the steps are
+    laid out over the generators and alpha, so that an exponent of alpha
+    above every generator's is not capped.  The oracle shares only ``code``
+    and ``exponent_steps`` with the resolution sweep, never its cell index
+    (``_inside``, ``_variable_bitsets``), so that one bug cannot make the
+    two agree.
+
     The ranks of C_v depend only on s and its cells, at a fixed p, so they
     are looked up in ``memo``, from (s, the tuple of cell masks) to ranks:
     a cone already in it is not ranked again, and a new one is added.  A
@@ -540,8 +553,11 @@ def koszul_strand_homology(
     """
     if memo is None:
         memo = {}
-    s = len(alpha.support)
-    standard = _standard_subsets(ideal, alpha)
+    if codes is None:
+        steps = exponent_steps([*ideal.gens, alpha])
+        codes = steps, [code(g, steps) for g in ideal.gens]
+    s = len(alpha.exps)
+    standard = _standard_subsets(*codes, alpha)
     if s == 0:
         return [standard]
     cells = tuple(members(min(_cones(standard, s), key=int.bit_count)))
@@ -566,34 +582,35 @@ def _lacking(s: int) -> tuple[int, ...]:
     return tuple(lacking)
 
 
-def _standard_subsets(ideal: MonomialIdeal, alpha: Monomial) -> int:
-    """The standard subsets of supp(alpha) as a 2^s-bit set, s = |supp(alpha)|.
+def _standard_subsets(steps: Steps, gens: Sequence[int], alpha: Monomial) -> int:
+    """The standard subsets of supp(alpha) as a 2^s-bit set, s = |supp(alpha)|,
+    from the codes ``gens`` of the generators under ``steps``, a layout that
+    reaches every exponent of alpha.
 
     A generator g dividing x^alpha divides x^alpha / x^S exactly when S
     avoids the tight variables, where g reaches the exponent of alpha; so S
-    is standard iff it meets the tight set of every such g.
+    is standard iff it meets the tight set of every such g.  On the codes,
+    g divides x^alpha iff g & ~a is 0, with a the code of alpha, and its
+    tight set is g & tops, with tops the top step of each variable of alpha
+    (``monomials.top_steps``): for a squarefree g, its support.  Each
+    distinct tight set is taken once, as the AND of the ``_lacking`` sets of
+    its variables, numbered by their places in the sorted support.
     """
-    exps = dict(alpha.exps)
-    support = sorted(exps)
-    lacking = dict(zip(support, _lacking(len(support))))
-    full = (1 << (1 << len(support))) - 1
-    avoiding = set()
-    for g in ideal.gens:
-        # One pass decides whether g divides x^alpha and collects the subsets
-        # that avoid its tight set.
+    outside = ~code(alpha, steps)
+    top = top_steps(alpha, steps)
+    tops = sum(top)  # the top steps are distinct bits, or 0
+    tight = {g & tops for g in gens if not g & outside}
+    place = dict(zip(top, _lacking(len(top))))
+    full = (1 << (1 << len(top))) - 1
+    nonstandard = 0
+    for t in tight:
         avoid = full
-        for v, e in g.exps:
-            a = exps.get(v, 0)
-            if e > a:
-                break
-            if e == a:
-                avoid &= lacking[v]
-        else:
-            avoiding.add(avoid)
-    standard = full
-    for avoid in avoiding:
-        standard &= ~avoid
-    return standard
+        while t:
+            x = t & -t
+            t ^= x
+            avoid &= place[x]
+        nonstandard |= avoid
+    return full ^ nonstandard
 
 
 def _cones(standard: int, s: int) -> list[int]:
@@ -626,7 +643,12 @@ def koszul_betti(
 
     Every alpha goes through ``koszul_strand_homology`` with one memo kept
     for this call only, from (|supp(alpha)|, cone cells) to ranks, so a
-    cone that recurs among the multidegrees is ranked once.
+    cone that recurs among the multidegrees is ranked once.  The exponent
+    steps of the generators and their codes (``monomials.exponent_steps``
+    and ``code``, the only parts of the program that the oracle shares with
+    the resolution sweep) are listed once, for this call only, and passed
+    to every alpha: each alpha is an lcm of generators, so the layout
+    reaches its exponents.
     """
     check_prime(p)
     if ideal.is_unit():
@@ -640,8 +662,10 @@ def koszul_betti(
     table = BettiTable()
     table.add(0, Monomial.one(), 1)
     ranked: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+    steps = exponent_steps(ideal.gens)
+    codes = steps, [code(g, steps) for g in ideal.gens]
     for alpha in lcm_closure(ideal.gens, degree_cap=degree_cap):
-        hom = koszul_strand_homology(ideal, alpha, p, ranked)
+        hom = koszul_strand_homology(ideal, alpha, p, ranked, codes)
         for i, rank in enumerate(hom):
             if i >= 1 and rank:
                 table.add(i, alpha, rank)

@@ -263,6 +263,28 @@ def code(m: Monomial, steps: Steps) -> int:
     return c
 
 
+def top_steps(m: Monomial, steps: Steps) -> list[int]:
+    """The top step of each variable of ``m`` in ``code(m, steps)``, as a
+    one-bit int, in the order of ``m.exps``: the mask bit at exponent 1,
+    else the last step that the code holds of the variable's run (capped
+    like the code), and 0 for a variable that the code leaves out.  So if
+    the exponents of m lie within the steps, a divisor of m reaches the
+    exponent of v in m iff its code holds the top step of v."""
+    c = m.mask
+    tops = []
+    if c >= 0:
+        while c:
+            x = c & -c
+            tops.append(x)
+            c ^= x
+        return tops
+    for v, e in m.exps:
+        bit, low, run = steps.get(v) or (_VAR_BIT.get(v, 0), 0, 0)
+        k = min(e - 1 if bit else e, run)
+        tops.append(1 << low + k - 1 if k else bit)
+    return tops
+
+
 def minimal(codes: Iterable[int]) -> list[int]:
     """The codes that no earlier kept code divides (h divides c iff h & ~c
     is 0): the minimal ones, if each code comes after its divisors, as in

@@ -10,6 +10,13 @@ it replaced (a boolean array over the 2^s masks, the cone read off a
 reshape, the pivot by ``count_nonzero`` and the cells by ``flatnonzero``) is
 kept here as a second reference for the standard subsets, the pivot and the
 ordered cell list.
+
+The standard subsets are read off the generators' exponent codes.  The
+kernel that walked every generator's exponent tuple for each alpha is kept
+here as ``ref_standard_subsets``, and every alpha of the sweep is checked
+against it: on the criteria 5 and 6 corpora, on the ideals of the
+resolution sweep's test corpus, on hypothesis ideals, on plain ideals with
+tied exponents and on grid ideals that mix masked and powered variables.
 """
 
 import random
@@ -24,9 +31,11 @@ from rainbowcw import (
     MonomialIdeal,
     PureComplex,
     alexander_dual_complex,
+    parse_monomial,
     rainbow_dfi,
     random_term_order,
 )
+from rainbowcw import complexes
 from rainbowcw.complexes import (
     MAX_SUPPORT,
     _cones,
@@ -38,8 +47,11 @@ from rainbowcw.complexes import (
 )
 from rainbowcw.errors import SizeCap, UnitIdeal
 from rainbowcw.gfp import cell_homology, matrix_rank
-from rainbowcw.monomials import WALK_BITS, Monomial, members
+from rainbowcw.monomials import WALK_BITS, Monomial, code, exponent_steps, members
 from tests.conftest import in_ideal
+from tests.test_acceptance import equivalence_runs, strand_runs
+from tests.test_complexes import _SWEEP_CORPUS
+from tests.test_sweep_memos import PLAIN_IDEALS
 
 PRIMES = (2, 32003)
 
@@ -68,6 +80,44 @@ def reference_strand_homology(ideal, alpha, p):
             columns.append(column)
         ranks[i] = matrix_rank(columns, len(layers[i - 1]), len(layers[i]), p)
     return [len(layers[i]) - ranks[i] - ranks[i + 1] for i in range(s + 1)]
+
+
+def ref_standard_subsets(ideal, alpha):
+    """The standard subsets of supp(alpha) as a 2^s-bit set, s = |supp(alpha)|,
+    by the kernel that walked every generator's exponents for each alpha.
+
+    A generator g dividing x^alpha divides x^alpha / x^S exactly when S
+    avoids the tight variables, where g reaches the exponent of alpha; so S
+    is standard iff it meets the tight set of every such g.
+    """
+    exps = dict(alpha.exps)
+    support = sorted(exps)
+    lacking = dict(zip(support, _lacking(len(support))))
+    full = (1 << (1 << len(support))) - 1
+    avoiding = set()
+    for g in ideal.gens:
+        # One pass decides whether g divides x^alpha and collects the subsets
+        # that avoid its tight set.
+        avoid = full
+        for v, e in g.exps:
+            a = exps.get(v, 0)
+            if e > a:
+                break
+            if e == a:
+                avoid &= lacking[v]
+        else:
+            avoiding.add(avoid)
+    standard = full
+    for avoid in avoiding:
+        standard &= ~avoid
+    return standard
+
+
+def standalone_standard_subsets(ideal, alpha):
+    """``_standard_subsets`` on the layout of a call without codes: steps
+    over the generators and alpha."""
+    steps = exponent_steps([*ideal.gens, alpha])
+    return _standard_subsets(steps, [code(g, steps) for g in ideal.gens], alpha)
 
 
 def reference_betti(ideal, p, degree_cap=None):
@@ -127,7 +177,7 @@ def test_every_pivot_gives_the_reference_homology(gens, alpha, p):
     expected = reference_strand_homology(ideal, alpha, p)
     assert koszul_strand_homology(ideal, alpha, p) == expected
     s = len(alpha.support)
-    for cone in _cones(_standard_subsets(ideal, alpha), s):
+    for cone in _cones(standalone_standard_subsets(ideal, alpha), s):
         assert cell_homology(members(cone), s, p) == expected
 
 
@@ -197,13 +247,150 @@ def test_bitset_kernel_matches_the_numpy_kernel(case):
     ideal, alpha = case
     s = len(alpha.support)
     reference = numpy_standard_subsets(ideal, alpha)
-    standard = _standard_subsets(ideal, alpha)
+    standard = standalone_standard_subsets(ideal, alpha)
     assert members(standard) == np.flatnonzero(reference).tolist()
     if s == 0:
         return
     cones = _cones(standard, s)
     assert [members(c) for c in cones] == [numpy_cone_cells(reference, k) for k in range(s)]
     assert min(range(s), key=lambda k: cones[k].bit_count()) == numpy_pivot(reference, s)
+
+
+# -- the standard subsets on the exponent code ------------------------------------
+
+
+def assert_sweep_matches_the_reference(ideal, degree_cap=None):
+    """Every alpha of the oracle's sweep gets the reference standard set on
+    the layout that ``koszul_betti`` lists once: the generators' steps."""
+    steps = exponent_steps(ideal.gens)
+    gens = [code(g, steps) for g in ideal.gens]
+    for alpha in lcm_closure(ideal.gens, degree_cap=degree_cap):
+        assert _standard_subsets(steps, gens, alpha) == ref_standard_subsets(ideal, alpha), alpha
+
+
+def test_standard_sets_on_the_criterion_5_corpus():
+    for n, m, order, delta in strand_runs():
+        assert_sweep_matches_the_reference(rainbow_dfi(delta, order), degree_cap=m)
+
+
+def test_standard_sets_on_the_criterion_6_corpus():
+    for n, m, order, dual, delta, rain in equivalence_runs():
+        assert_sweep_matches_the_reference(rain)
+
+
+@pytest.mark.parametrize("cx", [cx for _, cx in _SWEEP_CORPUS], ids=[i for i, _ in _SWEEP_CORPUS])
+def test_standard_sets_on_the_resolution_sweep_corpus(cx):
+    # the ideal of each complex's degree-1 multidegrees
+    ideal = MonomialIdeal(cx.mdeg(label) for label in cx.labels(1))
+    assert_sweep_matches_the_reference(ideal)
+
+
+def _ideal(strings):
+    return MonomialIdeal(parse_monomial(s) for s in strings)
+
+
+# Plain non-squarefree ideals where several generators reach the same
+# exponent of a variable, and grid ideals that mix masked generators,
+# powers of variables with a mask bit, and variables without one (rows and
+# columns past 16).
+CODED_IDEALS = {
+    **PLAIN_IDEALS,
+    "tied-squares": _ideal(["x[1]^2 * x[2]^2", "x[1]^2 * x[3]^2", "x[2]^2 * x[3]^2", "x[4]^2"]),
+    "tied-mixed": _ideal(["x[1]^2 * x[2]", "x[1]^2 * x[3]^3", "x[2]^2 * x[3]", "x[1] * x[2] * x[3]^3"]),
+    "tied-chain": _ideal(["x[1]^3 * x[2]", "x[2]^3 * x[3]", "x[3]^3 * x[1]", "x[1] * x[2] * x[3]"]),
+    "grid-mixed": _ideal([
+        "x[1,1]^2 * x[1,2]", "x[1,2] * x[2,1]", "x[2,1]^3", "x[1,1] * x[2,2]",
+        "x[2,2]^2 * x[1,2]^2",
+    ]),
+    "grid-past-the-mask": _ideal([
+        "x[17,1] * x[1,1]", "x[1,1]^2 * x[2,17]", "x[1,2] * x[2,1]", "x[17,1]^2 * x[2,1]",
+        "x[1,2]^3",
+    ]),
+}
+
+
+@pytest.mark.parametrize("ideal", CODED_IDEALS.values(), ids=CODED_IDEALS.keys())
+def test_the_sweep_passes_codes_that_give_the_reference(ideal, monkeypatch):
+    # the standard set of every alpha, as koszul_betti computes it
+    seen = []
+    original = complexes._standard_subsets
+
+    def recording(steps, gens, alpha):
+        standard = original(steps, gens, alpha)
+        seen.append((alpha, standard))
+        return standard
+
+    monkeypatch.setattr(complexes, "_standard_subsets", recording)
+    koszul_betti(ideal)
+    assert [alpha for alpha, _ in seen] == lcm_closure(ideal.gens)
+    for alpha, standard in seen:
+        assert standard == ref_standard_subsets(ideal, alpha), alpha
+
+
+def _plain_ideal(exponents):
+    return MonomialIdeal(Monomial({v: e for v, e in enumerate(g, start=1) if e}) for g in exponents)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gens=st.lists(st.lists(st.integers(0, 3), min_size=5, max_size=5), min_size=1, max_size=6))
+def test_standard_sets_on_the_memo_tests_hypothesis_ideals(gens):
+    assert_sweep_matches_the_reference(_plain_ideal(gens))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gens=st.lists(st.lists(st.sampled_from([0, 2, 2, 3]), min_size=4, max_size=4),
+                     min_size=2, max_size=7))
+def test_standard_sets_on_plain_ideals_with_tied_exponents(gens):
+    assert_sweep_matches_the_reference(_plain_ideal(gens))
+
+
+_GRID_VARIABLES = [(1, 1), (1, 2), (2, 1), (2, 2), (17, 1), (1, 17)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(gens=st.lists(
+    st.lists(st.integers(0, 2), min_size=len(_GRID_VARIABLES), max_size=len(_GRID_VARIABLES)),
+    min_size=1, max_size=6))
+def test_standard_sets_on_grid_ideals_mixing_masks_and_powers(gens):
+    ideal = MonomialIdeal(
+        Monomial({v: e for v, e in zip(_GRID_VARIABLES, g) if e}) for g in gens)
+    assert_sweep_matches_the_reference(ideal)
+
+
+# A call without codes lays its steps out over the generators and alpha: on
+# the generators' alone, an exponent of alpha above every generator's would
+# be capped, and a generator at the cap would read as tight.
+STANDALONE = {
+    "plain-above-every-generator": (["x[1]^2", "x[1] * x[3]"], "x[1]^3 * x[3]"),
+    "plain-above-a-tie": (["x[1]^2 * x[2]", "x[1]^2 * x[3]", "x[2] * x[3]"],
+                          "x[1]^4 * x[2] * x[3]"),
+    "grid-above-a-mask": (["x[1,1]", "x[1,2] * x[2,1]"], "x[1,1]^2 * x[1,2] * x[2,1]"),
+    "grid-above-every-power": (["x[1,1]^2 * x[1,2]", "x[17,1]^2", "x[1,2] * x[17,1]"],
+                               "x[1,1]^3 * x[1,2] * x[17,1]^3"),
+    "plain-unused-variable": (["x[1]^2", "x[1] * x[2]"], "x[1]^2 * x[2] * x[4]^2"),
+    "grid-unused-variables": (["x[1,1]^2", "x[1,1] * x[2,2]"],
+                              "x[1,1]^2 * x[2,2] * x[3,3] * x[4,4]^2 * x[17,2]"),
+    "grid-unused-masked": (["x[1,1] * x[1,2]", "x[2,2]"], "x[1,1] * x[1,2] * x[3,3]"),
+    "unit-alpha": (["x[1]^2", "x[1] * x[2]"], "1"),
+    "unit-alpha-of-the-unit-ideal": (["1"], "1"),
+    "unit-alpha-of-the-zero-ideal": ([], "1"),
+}
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("gens, alpha", STANDALONE.values(), ids=STANDALONE.keys())
+def test_a_call_without_codes_matches_the_reference(gens, alpha, p, monkeypatch):
+    ideal, alpha = _ideal(gens), parse_monomial(alpha)
+    seen = []
+    original = complexes._standard_subsets
+
+    def recording(*args):
+        seen.append(original(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(complexes, "_standard_subsets", recording)
+    assert koszul_strand_homology(ideal, alpha, p) == reference_strand_homology(ideal, alpha, p)
+    assert seen == [ref_standard_subsets(ideal, alpha)]
 
 
 @pytest.mark.parametrize("s", range(13))

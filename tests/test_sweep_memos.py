@@ -36,8 +36,8 @@ def recorded_oracle(ideal, p, degree_cap, monkeypatch):
     calls = []
     original = complexes.koszul_strand_homology
 
-    def recording(ideal, alpha, p, memo=None):
-        hom = original(ideal, alpha, p, memo)
+    def recording(ideal, alpha, *args, **kwargs):
+        hom = original(ideal, alpha, *args, **kwargs)
         calls.append((alpha, hom))
         return hom
 
