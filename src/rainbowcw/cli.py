@@ -13,8 +13,8 @@ import argparse
 import json
 import os
 import random
+import stat
 import sys
-import tempfile
 from dataclasses import dataclass
 from functools import cache
 from math import comb
@@ -67,10 +67,21 @@ class RunManifest:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it over
+    ``path``.  The temp file is created with mode 0o666, which the umask
+    narrows as ``open(path, "w")`` would; a file it replaces keeps its
+    mode."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".rainbowcw-")
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
+    tmp = os.path.join(directory, f".rainbowcw-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
+            if mode is not None:
+                os.fchmod(fd, mode)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -88,10 +99,63 @@ def _emit(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for the JSON that the
+    program emits: dicts with str keys, written in sorted order, lists,
+    str, int, bool and None.  Anything else (a float, a tuple, a set, a
+    key that is not a str) raises TypeError.  Every part is appended to
+    one list, joined once."""
+    parts: list[str] = []
+    _write_json(value, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write_json(value, newline: str, append) -> None:
+    """Append the parts of ``value`` at the indent of ``newline``."""
+    kind = type(value)
+    if kind is str:
+        append(_quote(value))
+    elif kind is bool:
+        append("true" if value else "false")
+    elif kind is int:
+        append(int.__repr__(value))
+    elif value is None:
+        append("null")
+    elif kind is list:
+        if not value:
+            append("[]")
+            return
+        inner = newline + "  "
+        sep, between = "[" + inner, "," + inner
+        for item in value:
+            append(sep)
+            _write_json(item, inner, append)
+            sep = between
+        append(newline + "]")
+    elif kind is dict:
+        if not value:
+            append("{}")
+            return
+        inner = newline + "  "
+        sep, between = "{" + inner, "," + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            append(sep + _quote(key) + ": ")
+            _write_json(value[key], inner, append)
+            sep = between
+        append(newline + "}")
+    else:
+        raise TypeError(f"{kind.__name__} is not emitted as JSON")
+
+
 def _emit_json(payload: dict, manifest: RunManifest, out: str | None) -> None:
     payload = dict(payload)
     payload["manifest"] = manifest.to_json()
-    _emit(json.dumps(payload, indent=2, sort_keys=True), out)
+    _emit(_json_text(payload), out)
 
 
 def _emit_csv(header: list[str], rows: list[list], manifest: RunManifest, out: str | None) -> None:

@@ -9,9 +9,9 @@ hashing are exact and order-independent.
 A squarefree monomial over grid variables ``(i, j)`` with 1 <= i, j <= STRIDE
 also carries its support as a bit mask: variable (i, j) is bit
 (i - 1) * STRIDE + (j - 1).  Bits follow the row-major variable order, so the
-bit order is the sorted order of ``exps``.  Divisibility, lcm and degree of
-two such monomials are int operations; every other monomial has mask -1 and
-takes the exponent-tuple path.
+bit order is the sorted order of ``exps``.  Divisibility, lcm, degree and
+exact division of two such monomials are int operations; every other
+monomial has mask -1 and takes the exponent-tuple path.
 
 Divisibility over a set of monomials is decided on one exponent code, the
 staircase polarization of the set (Miller and Sturmfels, Combinatorial
@@ -107,6 +107,11 @@ class Monomial:
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
         """Exact division; raises if ``other`` does not divide ``self``."""
+        a, b = self.mask, other.mask
+        if a >= 0 and b >= 0:
+            if b & ~a:
+                raise ValueError(f"{other} does not divide {self}")
+            return from_mask(a ^ b)
         m = dict(self.exps)
         for v, e in other.exps:
             r = m.get(v, 0) - e

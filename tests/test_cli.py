@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -221,6 +222,43 @@ def test_json_determinism(tmp_path):
     for path in (a, b):
         assert run(["sparse-en", "-n", "2", "-m", "4", "--certify-cw", "-o", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@contextlib.contextmanager
+def _umask(mask):
+    old = os.umask(mask)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+def _mode(path) -> int:
+    return stat.S_IMODE(path.stat().st_mode)
+
+
+@pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o002, 0o664), (0o077, 0o600)], ids=oct)
+def test_a_new_output_file_takes_its_mode_from_the_umask(tmp_path, mask, mode):
+    # As open(path, "w") would: 0o666 less the umask, for JSON and CSV alike.
+    en, csv = tmp_path / "en.json", tmp_path / "betti.csv"
+    with _umask(mask):
+        assert run(["sparse-en", "-n", "2", "-m", "4", "-o", str(en)]) == 0
+        assert run(["strand", "--dual-file", str(Path(__file__).parent / "data" / "dual35.json"),
+                    "--betti-csv", str(csv), "-o", str(tmp_path / "strand.json")]) == 0
+    assert [_mode(p) for p in (en, csv, tmp_path / "strand.json")] == [mode] * 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["betti.csv", "en.json", "strand.json"]
+
+
+@pytest.mark.parametrize("mode", [0o644, 0o640, 0o600, 0o664], ids=oct)
+def test_a_replaced_output_file_keeps_its_mode(tmp_path, mode):
+    out = tmp_path / "en.json"
+    out.write_text("old")
+    out.chmod(mode)
+    with _umask(0o022):
+        assert run(["sparse-en", "-n", "2", "-m", "4", "-o", str(out)]) == 0
+    assert _mode(out) == mode
+    assert json.loads(out.read_text())["ranks"] == [1, 6, 8, 3]
+    assert [p.name for p in tmp_path.iterdir()] == ["en.json"]
 
 
 def test_prime_comes_from_the_flag_only(tmp_path, monkeypatch):

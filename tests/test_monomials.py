@@ -209,6 +209,47 @@ def test_divides_lcm_eq_hash_match_the_exponent_reference(pair):
         assert hash(a) == hash(b)
 
 
+def _ref_div(a, b):
+    """Exact division on the exponent dicts, the path that every pair took
+    before two masked monomials divided on their masks."""
+    out = dict(a.exps)
+    for v, e in b.exps:
+        r = out.get(v, 0) - e
+        if r < 0:
+            raise ValueError(f"{b} does not divide {a}")
+        out[v] = r
+    return Monomial(out)
+
+
+def _assert_division_matches_the_reference(a, b):
+    try:
+        want = _ref_div(a, b)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            a / b
+        assert str(got.value) == str(exc)
+        return
+    quotient = a / b
+    assert quotient.exps == want.exps and hash(quotient) == hash(want)
+    assert quotient.mask == want.mask and quotient == want
+
+
+@given(st.one_of(st.tuples(grid_monomials_both, grid_monomials_both),
+                 _coprime_squarefree(),
+                 st.tuples(_crowded_squarefree, _crowded_squarefree),
+                 st.tuples(plain_monomials, plain_monomials),
+                 st.tuples(any_monomials, st.just(Monomial.one())),
+                 st.tuples(st.just(Monomial.one()), any_monomials)))
+def test_division_matches_the_exponent_reference(pair):
+    # Both orders of the pair, which mostly do not divide, and products
+    # over each factor, which do: masked when the product is squarefree.
+    a, b = pair
+    for x, y in ((a, b), (b, a)):
+        _assert_division_matches_the_reference(x, y)
+        _assert_division_matches_the_reference(_mul(x, y), y)
+        _assert_division_matches_the_reference(x, x)
+
+
 def _assert_codes_decide_divisibility(members):
     """Over the exponent code of ``members``: divides iff the codes nest,
     the code of an lcm is the OR, the degree is the bit count, a masked
